@@ -166,11 +166,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grids_for(args, model, prior):
+def _grids_for(args, model, prior, seed):
     x_range = getattr(args, "x_range", None)
     y_range = getattr(args, "y_range", None)
     auto_x, auto_y = default_grids(
-        model, prior, n=args.grid_n, span=args.span, seed=args.seed or 0
+        model, prior, n=args.grid_n, span=args.span, seed=seed
     )
     x_grid = (
         Grid1D(*_parse_range(x_range, "--x-range"), args.grid_n) if x_range else auto_x
@@ -192,7 +192,7 @@ def _cmd_density(args) -> int:
     order = args.order
     if order is None:
         order = int(cfg.get("feature.order", _DEFAULT_ORDER[model.name]))
-    x_grid, y_grid = _grids_for(args, model, prior)
+    x_grid, y_grid = _grids_for(args, model, prior, common["seed"])
     joint = joint_density_grid(model, prior, x_grid, y_grid)
     affine = make_affine_feature(model.meas_dim)
     feature = make_monomial_feature(model.meas_dim, order)
@@ -201,29 +201,36 @@ def _cmd_density(args) -> int:
     gf_means = affine.map(y_grid.values[:, None]) @ params_gf.gamma[0]
     fgf_means = feature.map(y_grid.values[:, None]) @ params_fgf.gamma[0]
     path = out_dir / f"density_{model.name}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y", "x", "p", "q_gf", "q_fgf"])
-        for j in range(y_grid.n):
-            y_str = repr(float(y_grid.values[j]))
-            gf_str = repr(float(gf_means[j]))
-            fgf_str = repr(float(fgf_means[j]))
-            for i in range(x_grid.n):
-                writer.writerow(
-                    [
-                        y_str,
-                        repr(float(x_grid.values[i])),
-                        repr(float(joint.mass[i, j])),
-                        gf_str,
-                        fgf_str,
-                    ]
-                )
+    _write_density_csv(path, joint, gf_means, fgf_means)
     print(f"wrote {path}")
     print(
         f"posterior stds: gf={float(params_gf.sigma[0, 0]) ** 0.5:.6f} "
         f"fgf(order {order})={float(params_fgf.sigma[0, 0]) ** 0.5:.6f}"
     )
     return 0
+
+
+def _write_density_csv(path, joint, gf_means, fgf_means) -> None:
+    """One row per cell, y-major: y, x, p, q_gf, q_fgf.
+
+    The bytes are those of ``csv.writer`` with ``lineterminator="\\n"``:
+    the repr of a float holds no delimiter, quote or newline, so no
+    field is ever quoted and the rows can be joined directly.
+    """
+    x_cells = [repr(x) + "," for x in joint.x_grid.values.tolist()]
+    columns = zip(
+        joint.y_grid.values.tolist(),
+        gf_means.tolist(),
+        fgf_means.tolist(),
+        joint.mass.T.tolist(),
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("y,x,p,q_gf,q_fgf\n")
+        for y, gf, fgf, column in columns:
+            head = f"{y!r},"
+            tail = f",{gf!r},{fgf!r}\n"
+            rows = [head + x + repr(p) + tail for x, p in zip(x_cells, column)]
+            fh.write("".join(rows))
 
 
 def _cmd_kl(args) -> int:
@@ -236,7 +243,7 @@ def _cmd_kl(args) -> int:
     )
     raw_orders = args.orders or cfg.get("run.orders")
     orders = parse_orders(raw_orders) if raw_orders else (1, 2, 3)
-    x_grid, y_grid = _grids_for(args, model, prior)
+    x_grid, y_grid = _grids_for(args, model, prior, common["seed"])
     joint = joint_density_grid(model, prior, x_grid, y_grid)
     rows = []
     for order in orders:

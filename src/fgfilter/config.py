@@ -9,7 +9,7 @@ and grouped by prefix. Recognized keys:
     model.noise_scale   float (noise_magnitude only)
     model.step_height   float (heaviside only)
     engine.kind         monte_carlo | sigma_point
-    engine.samples      int
+    engine.samples      int (default 5000, quadrature.DEFAULT_SAMPLE_COUNT)
     engine.seed         int
     engine.kappa        float
     feature.kind        affine | monomial | <registered name>
@@ -38,7 +38,7 @@ from .models import (
     make_heaviside_model,
     make_noise_magnitude_model,
 )
-from .quadrature import ExpectationEngine
+from .quadrature import DEFAULT_SAMPLE_COUNT, ExpectationEngine
 
 __all__ = [
     "KNOWN_KEYS",
@@ -160,7 +160,7 @@ def engine_from_config(cfg: dict[str, str]) -> ExpectationEngine | None:
     kind = cfg.get("engine.kind", "monte_carlo")
     return ExpectationEngine(
         kind=kind,
-        sample_count=_get(cfg, "engine.samples", int, 10_000),
+        sample_count=_get(cfg, "engine.samples", int, DEFAULT_SAMPLE_COUNT),
         kappa=_get(cfg, "engine.kappa", float, 0.0),
         seed=_get(cfg, "engine.seed", int, 0),
     )

@@ -105,12 +105,8 @@ def _run_tracking(
         raise ValueError(f"steps must be at least 1, got {steps}")
     if engine is None:
         # Tie the engine stream to the trajectory seed so seed batches
-        # see independent estimator noise.  5000 draws is the smallest
-        # count at which every built-in experiment seed tracks cleanly:
-        # at 4000 one heaviside seed in a hundred still blows up through
-        # the cubic fit, and by 3000 the posterior spread detaches from
-        # the actual error on the noise model.
-        engine = monte_carlo(sample_count=5000, seed=seed)
+        # see independent estimator noise.
+        engine = monte_carlo(seed=seed)
     orders_run = tuple(sorted(set(int(o) for o in orders) | {1}))
     if any(o < 1 for o in orders_run):
         raise ValueError(f"feature orders must be positive, got {orders!r}")

@@ -1,10 +1,14 @@
-"""Brute-force grid evaluation of scalar filtering problems.
+"""Grid evaluation of scalar filtering problems.
 
 For scalar state and measurement, the joint density p(x, y) =
 p(y | x) p(x) can be tabulated on a rectangular grid and every quantity
 of interest (conditionals, moments, KL divergences) reduced to cell
-sums. That is slow and memory-hungry but assumption-free, which makes
-it the reference the sampled filters are validated against.
+sums. The tabulation is brute force and assumption-free, which makes it
+the reference the sampled filters are validated against. The
+reductions read a few per-density statistics (the two marginals, the
+x-weighted column sums and the negentropy), computed once per density,
+so scoring a feature costs O(n) rather than another pass over the n^2
+cells.
 
 All grids are cell-centered: a :class:`Grid1D` with n cells over
 [lo, hi] places values at lo + (i + 1/2) * spacing, and integrals are
@@ -15,10 +19,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import NumericsError, gaussian_log_pdf, gaussian_pdf, symmetrize
+from ._linalg import NumericsError, gaussian_pdf, symmetrize
 from .filters import FeatureFunction, FgfPosteriorParams, JointMoments, _evaluate_feature
 from .models import GaussianBelief, StateSpaceModel
 
@@ -73,6 +78,10 @@ class GridDensity2D:
 
     ``mass[i, j]`` is the density at (x_grid.values[i],
     y_grid.values[j]); sum(mass) * cell_area == 1 within 1e-6.
+
+    The reductions the oracle needs are read from a few statistics
+    (``wx``, ``wy``, ``x_mean``, ``xw``, ``negentropy``), each computed
+    from the cells on first use and then cached on the instance.
     """
 
     x_grid: Grid1D
@@ -100,6 +109,44 @@ class GridDensity2D:
     @property
     def cell_area(self) -> float:
         return self.x_grid.spacing * self.y_grid.spacing
+
+    @cached_property
+    def wx(self) -> np.ndarray:
+        """Marginal weights over x: ``mass.sum(axis=1) * cell_area``."""
+        return _read_only(self.mass.sum(axis=1) * self.cell_area)
+
+    @cached_property
+    def wy(self) -> np.ndarray:
+        """Marginal weights over y: ``mass.sum(axis=0) * cell_area``."""
+        return _read_only(self.mass.sum(axis=0) * self.cell_area)
+
+    @cached_property
+    def x_mean(self) -> float:
+        """E[x] under the grid weights."""
+        return float(self.x_grid.values @ self.wx)
+
+    @cached_property
+    def xw(self) -> np.ndarray:
+        """x-weighted column sums ``(x - x_mean) @ mass * cell_area``.
+
+        Centred at ``x_mean`` so they keep their digits on grids far
+        from the origin.
+        """
+        centred = self.x_grid.values - self.x_mean
+        return _read_only((centred @ self.mass) * self.cell_area)
+
+    @cached_property
+    def negentropy(self) -> float:
+        """``sum(mass * log(mass)) * cell_area``, with 0 log 0 = 0."""
+        mass = self.mass
+        terms = np.log(mass, out=np.zeros_like(mass), where=mass > 0.0)
+        terms *= mass
+        return float(terms.sum()) * self.cell_area
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def default_grids(
@@ -207,9 +254,9 @@ def conditional_slice(density: GridDensity2D, y: float) -> np.ndarray:
 
 def conditional_mean_curve(density: GridDensity2D) -> np.ndarray:
     """E[x | y] for every y column; NaN where a column carries no mass."""
-    weights = density.mass.sum(axis=0)
+    weights = density.wy
     with np.errstate(invalid="ignore", divide="ignore"):
-        means = (density.x_grid.values @ density.mass) / weights
+        means = density.x_mean + density.xw / weights
     return np.where(weights > 0.0, means, np.nan)
 
 
@@ -217,22 +264,20 @@ def grid_joint_moments(density: GridDensity2D, feature: FeatureFunction) -> Join
     """Exact (up to the grid) joint moments of state and features.
 
     Feature values depend only on y, so all sums collapse onto the
-    marginal column weights; no per-cell feature array is built.
+    density's marginals and x-weighted column sums: O(n k) work for a
+    feature of k outputs, with no pass over the cells.
     """
-    x = density.x_grid.values
-    y = density.y_grid.values
-    cell_w = density.mass * density.cell_area
-    wx = cell_w.sum(axis=1)
-    wy = cell_w.sum(axis=0)
-    phis = _evaluate_feature(feature, y[:, None])
-    mu_x = np.array([float(x @ wx)])
+    xc = density.x_grid.values - density.x_mean
+    wy = density.wy
+    phis = _evaluate_feature(feature, density.y_grid.values[:, None])
     mu_f = wy @ phis
-    xc = x - mu_x[0]
     fc = phis - mu_f
-    s_xx = np.array([[float((xc * xc) @ wx)]])
+    s_xx = np.array([[float((xc * xc) @ density.wx)]])
     s_ff = symmetrize((fc * wy[:, None]).T @ fc)
-    s_xf = ((xc @ cell_w) @ fc)[None, :]
-    return JointMoments(mu_x=mu_x, mu_f=mu_f, s_xx=s_xx, s_ff=s_ff, s_xf=s_xf)
+    s_xf = (density.xw @ fc)[None, :]
+    return JointMoments(
+        mu_x=np.array([density.x_mean]), mu_f=mu_f, s_xx=s_xx, s_ff=s_ff, s_xf=s_xf
+    )
 
 
 def kl_conditional(
@@ -249,28 +294,35 @@ def kl_conditional(
     which equals E_y[ KL(p(.|y) || q(.|y)) ] plus a constant that does
     not depend on the fitted parameters, so only differences between
     feature choices are meaningful. Cells with zero mass contribute
-    nothing. q is evaluated in log space so tail underflow cannot
-    produce infinities.
+    nothing.
+
+    The sum is evaluated exactly from the density's statistics in O(n)
+    work. The log-mass part is ``density.negentropy``. With weights
+    w_ij = mass_ij * cell_area, column means m_j = phi(y_j) gamma, and
+    u_i = x_i - E[x], v_j = m_j - E[x],
+
+        sum_ij w_ij (x_i - m_j)^2
+            = sum_i wx_i u_i^2 - 2 sum_j v_j xw_j + sum_j wy_j v_j^2,
+
+    centred at E[x] so that grids far from the origin do not cancel.
     """
     if params.state_dim != 1:
         raise ValueError("KL objective supports scalar state only")
-    x = density.x_grid.values
-    y = density.y_grid.values
-    phis = _evaluate_feature(feature, y[:, None])
+    phis = _evaluate_feature(feature, density.y_grid.values[:, None])
     if phis.shape[1] != params.feature_dim:
         raise ValueError(
             f"feature dimension {phis.shape[1]} does not match fitted "
             f"parameters ({params.feature_dim})"
         )
-    means = phis @ params.gamma[0]
     var = float(params.sigma[0, 0])
     if var <= 0.0:
         raise NumericsError("fitted conditional has nonpositive variance")
-    log_q = gaussian_log_pdf(x[:, None], means[None, :], var)
-    mass = density.mass
-    live = mass > 0.0
-    contrib = mass[live] * (np.log(mass[live]) - log_q[live])
-    return float(contrib.sum()) * density.cell_area
+    u = density.x_grid.values - density.x_mean
+    v = phis @ params.gamma[0] - density.x_mean
+    wy = density.wy
+    squares = (u * u) @ density.wx - 2.0 * (v @ density.xw) + (wy * v) @ v
+    log_norm = wy.sum() * np.log(2.0 * np.pi * var)
+    return density.negentropy + 0.5 * float(squares / var + log_norm)
 
 
 def gaussian_moment_oracle(mean: float, var: float, k: int) -> float:

@@ -259,18 +259,21 @@ def simulate(
     process_noise = rng.standard_normal((steps, model.process_noise_dim))
     obs_noise = rng.standard_normal((steps, model.obs_noise_dim))
     states = np.empty((steps, model.state_dim))
-    measurements = np.empty((steps, model.meas_dim))
     for t in range(steps):
         x = np.asarray(model.process(x, process_noise[t]), dtype=float).reshape(
             model.state_dim
         )
-        if not np.all(np.isfinite(x)):
-            raise NumericsError(f"non-finite state at step {t}", step=t)
-        y = np.asarray(model.observe(x, obs_noise[t]), dtype=float).reshape(
-            model.meas_dim
-        )
-        if not np.all(np.isfinite(y)):
-            raise NumericsError(f"non-finite measurement at step {t}", step=t)
         states[t] = x
-        measurements[t] = y
+    # One observe call over the whole trajectory, then one screen. The
+    # first failing step is reported; at that step a bad state takes
+    # precedence over the bad measurement it produced.
+    measurements = np.asarray(model.observe(states, obs_noise), dtype=float).reshape(
+        steps, model.meas_dim
+    )
+    bad_state = ~np.isfinite(states).all(axis=1)
+    bad = bad_state | ~np.isfinite(measurements).all(axis=1)
+    if bad.any():
+        t = int(np.argmax(bad))
+        kind = "state" if bad_state[t] else "measurement"
+        raise NumericsError(f"non-finite {kind} at step {t}", step=t)
     return states, measurements

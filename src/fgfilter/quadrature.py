@@ -33,6 +33,14 @@ __all__ = [
 
 ENGINE_KINDS = ("monte_carlo", "sigma_point")
 
+# The one default Monte Carlo draw count, for engines built in code, from
+# a config file, or by the experiments. 5000 draws is the smallest count
+# at which every built-in experiment seed tracks cleanly: at 4000 one
+# heaviside seed in a hundred still blows up through the cubic fit, and
+# by 3000 the posterior spread detaches from the actual error on the
+# noise model.
+DEFAULT_SAMPLE_COUNT = 5000
+
 # Draw tables at or below this many entries are cached and shared
 # (read-only); larger ones are regenerated per call to bound memory.
 _TABLE_CACHE_LIMIT = 200_000
@@ -58,7 +66,7 @@ class ExpectationEngine:
     """
 
     kind: str
-    sample_count: int = 10_000
+    sample_count: int = DEFAULT_SAMPLE_COUNT
     kappa: float = 0.0
     seed: int = 0
 
@@ -75,7 +83,9 @@ class ExpectationEngine:
             raise ValueError("kappa must be finite")
 
 
-def monte_carlo(sample_count: int = 10_000, seed: int = 0) -> ExpectationEngine:
+def monte_carlo(
+    sample_count: int = DEFAULT_SAMPLE_COUNT, seed: int = 0
+) -> ExpectationEngine:
     """Monte Carlo engine; estimator error decays like 1/sqrt(sample_count)."""
     return ExpectationEngine("monte_carlo", sample_count=sample_count, seed=seed)
 

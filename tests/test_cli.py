@@ -1,9 +1,12 @@
 """CLI tests driven in process through cli_main(argv)."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from fgfilter.cli import cli_main
+from fgfilter import GridDensity2D, Grid1D
+from fgfilter.cli import _write_density_csv, cli_main
 
 
 def _read_lines(path):
@@ -133,6 +136,51 @@ def test_kl_scores_decrease_with_order(tmp_path, capsys):
     kls = [float(line.split(",")[2]) for line in lines[1:]]
     assert kls[0] >= kls[1] - 1e-9
     assert kls[1] >= kls[2] - 1e-9
+
+
+def test_density_writer_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    xg, yg = Grid1D(-1.0, 2.5, 7), Grid1D(-3e-5, 40.0, 4)
+    mass = rng.uniform(size=(7, 4))
+    mass[2, 1] = 0.0
+    mass[4, 3] = 5e-324
+    joint = GridDensity2D(xg, yg, mass / (mass.sum() * xg.spacing * yg.spacing))
+    gf = rng.standard_normal(4) * 1e-20
+    fgf = -rng.uniform(size=4) * 1e17
+    path = tmp_path / "fast.csv"
+    _write_density_csv(path, joint, gf, fgf)
+
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["y", "x", "p", "q_gf", "q_fgf"])
+        for j in range(yg.n):
+            for i in range(xg.n):
+                writer.writerow(
+                    [
+                        repr(float(yg.values[j])),
+                        repr(float(xg.values[i])),
+                        repr(float(joint.mass[i, j])),
+                        repr(float(gf[j])),
+                        repr(float(fgf[j])),
+                    ]
+                )
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_grids_use_the_config_seed(tmp_path, capsys):
+    def kl_bytes(name, *extra):
+        out = tmp_path / name
+        argv = ["kl", "--model", "noise_magnitude", "--grid-n", "201"]
+        assert cli_main([*argv, "--out", str(out), *extra]) == 0
+        return (out / "kl_noise_magnitude.csv").read_bytes()
+
+    cfg = _write_config(tmp_path, "run.seed = 5\n")
+    from_config = kl_bytes("cfg", "--config", str(cfg))
+    assert from_config == kl_bytes("flag", "--seed", "5")
+    # the seed moves the Monte Carlo y grid, so seed 0 scores differ
+    assert from_config != kl_bytes("zero", "--seed", "0")
+    capsys.readouterr()
 
 
 def test_help_exits_zero(capsys):

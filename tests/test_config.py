@@ -2,6 +2,7 @@
 
 import pytest
 
+from fgfilter import run_noise_experiment
 from fgfilter.config import (
     engine_from_config,
     feature_from_config,
@@ -11,6 +12,7 @@ from fgfilter.config import (
     parse_config_text,
     parse_orders,
 )
+from fgfilter.quadrature import DEFAULT_SAMPLE_COUNT
 
 
 def test_parse_config_text_basics():
@@ -83,6 +85,14 @@ def test_engine_from_config():
     assert eng.kind == "sigma_point" and eng.kappa == 1.5
     with pytest.raises(ValueError):
         engine_from_config({"engine.kind": "quasi_random"})
+
+
+def test_engine_draw_default_is_shared():
+    # A config that sets engine keys but no draw count gets the same
+    # count as an experiment run without an engine.
+    eng = engine_from_config({"engine.seed": "3"})
+    report = run_noise_experiment(steps=3, seed=0)
+    assert eng.sample_count == report.engine.sample_count == DEFAULT_SAMPLE_COUNT
 
 
 def test_feature_from_config():

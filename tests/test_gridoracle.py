@@ -1,9 +1,10 @@
-"""Tests for the brute-force grid oracle.
+"""Tests for the grid oracle.
 
 The oracle is itself validated here against closed forms: Gaussian
 moments against scipy, grid conditionals against the exact conjugate
 posterior of a linear model, and the KL objective against its known
-minimizer.
+minimizer. Its reductions from per-density statistics are checked
+against the plain cell sums kept below as the reference.
 """
 
 import warnings
@@ -33,6 +34,8 @@ from fgfilter import (
     make_monomial_feature,
     make_noise_magnitude_model,
 )
+from fgfilter._linalg import gaussian_log_pdf, symmetrize
+from fgfilter.filters import JointMoments
 from helpers import linear_ssm
 
 
@@ -46,6 +49,68 @@ def _scalar_linear():
         "r": np.array([[0.36]]),
     }
     return sys, linear_ssm(sys)
+
+
+def _reference_moments(density, feature):
+    """Joint moments as plain sums over every cell."""
+    x = density.x_grid.values
+    cell_w = density.mass * density.cell_area
+    wx = cell_w.sum(axis=1)
+    wy = cell_w.sum(axis=0)
+    phis = feature.map(density.y_grid.values[:, None])
+    mu_x = float(x @ wx)
+    mu_f = wy @ phis
+    xc = x - mu_x
+    fc = phis - mu_f
+    return JointMoments(
+        mu_x=np.array([mu_x]),
+        mu_f=mu_f,
+        s_xx=np.array([[float((xc * xc) @ wx)]]),
+        s_ff=symmetrize((fc * wy[:, None]).T @ fc),
+        s_xf=((xc @ cell_w) @ fc)[None, :],
+    )
+
+
+def _reference_kl(density, params, feature):
+    """Cell sum of mass * (log mass - log q) * cell_area over live cells."""
+    phis = feature.map(density.y_grid.values[:, None])
+    means = phis @ params.gamma[0]
+    log_q = gaussian_log_pdf(
+        density.x_grid.values[:, None], means[None, :], float(params.sigma[0, 0])
+    )
+    mass = density.mass
+    live = mass > 0.0
+    contrib = mass[live] * (np.log(mass[live]) - log_q[live])
+    return float(contrib.sum()) * density.cell_area
+
+
+def _random_density(rng, x_grid, y_grid, zero_frac=0.3):
+    """Random positive masses with a share of exactly-zero cells and one dead column."""
+    mass = rng.uniform(0.1, 1.0, (x_grid.n, y_grid.n))
+    mass[rng.uniform(size=mass.shape) < zero_frac] = 0.0
+    mass[:, 3] = 0.0
+    cell = x_grid.spacing * y_grid.spacing
+    return GridDensity2D(x_grid, y_grid, mass / (mass.sum() * cell))
+
+
+def _offset_density(offset, n=301):
+    """Correlated Gaussian-shaped joint on an x grid centred at ``offset``."""
+    xg = Grid1D(offset - 4.0, offset + 4.0, n)
+    yg = Grid1D(-5.0, 5.0, n)
+    dx = xg.values[:, None] - offset
+    y = yg.values[None, :]
+    mass = np.exp(-0.5 * (dx - 0.8 * y) ** 2 / 0.3 - 0.5 * y * y)
+    return GridDensity2D(xg, yg, mass / (mass.sum() * xg.spacing * yg.spacing))
+
+
+def _assert_moments_close(got, ref, x_grid, rtol=1e-10):
+    # Entries that vanish by symmetry are compared on the scale of their
+    # block; E[x] on the scale of the grid, since it may sit at 0.
+    x_scale = max(abs(x_grid.lo), abs(x_grid.hi))
+    assert_allclose(got.mu_x, ref.mu_x, rtol=rtol, atol=rtol * x_scale, err_msg="mu_x")
+    for name in ("mu_f", "s_xx", "s_ff", "s_xf"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert_allclose(a, b, rtol=rtol, atol=rtol * np.max(np.abs(b)), err_msg=name)
 
 
 def test_grid1d_cell_centers():
@@ -223,3 +288,67 @@ def test_kl_validates_inputs():
     params = fgf_solve(grid_joint_moments(joint, affine))
     with pytest.raises(ValueError):
         kl_conditional(joint, params, make_monomial_feature(1, 2))
+
+
+def test_statistics_are_cached_and_read_only():
+    rng = np.random.default_rng(1)
+    joint = _random_density(rng, Grid1D(-2.0, 3.0, 7), Grid1D(0.0, 1.0, 5))
+    assert joint.wx is joint.wx and joint.xw is joint.xw
+    for stat in (joint.wx, joint.wy, joint.xw):
+        assert not stat.flags.writeable
+    cell_w = joint.mass * joint.cell_area
+    assert_allclose(joint.wx, cell_w.sum(axis=1), rtol=1e-13)
+    assert_allclose(joint.wy, cell_w.sum(axis=0), rtol=1e-13)
+    assert joint.wy[3] == 0.0
+    live = joint.mass > 0.0
+    ref = float((joint.mass[live] * np.log(joint.mass[live])).sum()) * joint.cell_area
+    assert_allclose(joint.negentropy, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reductions_match_cell_sums_with_zero_mass_cells(seed):
+    rng = np.random.default_rng(seed)
+    joint = _random_density(rng, Grid1D(-2.0, 3.0, 40), Grid1D(-1.5, 2.5, 33))
+    for order in (1, 2, 3):
+        feat = make_monomial_feature(1, order)
+        ref = _reference_moments(joint, feat)
+        _assert_moments_close(grid_joint_moments(joint, feat), ref, joint.x_grid)
+        params = fgf_solve(ref)
+        scaled = FgfPosteriorParams(
+            gamma=params.gamma * rng.uniform(0.5, 1.5, params.gamma.shape),
+            sigma=params.sigma * 1.7,
+        )
+        for p in (params, scaled):
+            assert_allclose(
+                kl_conditional(joint, p, feat),
+                _reference_kl(joint, p, feat),
+                rtol=1e-10,
+            )
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+def test_reductions_keep_their_digits_far_from_the_origin(offset):
+    joint = _offset_density(offset)
+    for order in (1, 2, 3):
+        feat = make_monomial_feature(1, order)
+        ref = _reference_moments(joint, feat)
+        _assert_moments_close(grid_joint_moments(joint, feat), ref, joint.x_grid)
+        params = fgf_solve(ref)
+        assert_allclose(
+            kl_conditional(joint, params, feat),
+            _reference_kl(joint, params, feat),
+            rtol=1e-10,
+        )
+    # the fitted conditional mean tracks the slope 0.8 of the joint
+    assert_allclose(fgf_solve(ref).gamma[0, :2], [offset, 0.8], rtol=1e-3, atol=1e-3)
+
+
+def test_conditional_mean_curve_matches_cell_sums():
+    rng = np.random.default_rng(4)
+    joint = _random_density(rng, Grid1D(1e4, 1e4 + 2.0, 25), Grid1D(-1.0, 1.0, 9))
+    curve = conditional_mean_curve(joint)
+    weights = joint.mass.sum(axis=0)
+    live = weights > 0.0
+    ref = (joint.x_grid.values @ joint.mass)[live] / weights[live]
+    assert np.isnan(curve[3]) and np.array_equal(np.isnan(curve), ~live)
+    assert_allclose(curve[live], ref, rtol=1e-13)

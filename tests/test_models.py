@@ -174,3 +174,21 @@ def test_simulate_reports_failing_step():
         simulate(model, np.zeros(1), 10, seed=0)
     assert exc.value.step == 2
     assert "step 2" in str(exc.value)
+
+
+def test_simulate_reports_failing_process_step():
+    # The state turns infinite at step 3, and the measurement it yields
+    # does too; the state is reported.
+    model = StateSpaceModel(
+        state_dim=1,
+        meas_dim=1,
+        process_noise_dim=1,
+        obs_noise_dim=1,
+        process=lambda x, v: np.where(x > 2.5, np.inf, x + 1.0),
+        observe=lambda x, w: np.where(x > 3.5, np.inf, x),
+        name="toy",
+    )
+    with pytest.raises(NumericsError) as exc:
+        simulate(model, np.zeros(1), 10, seed=0)
+    assert exc.value.step == 3
+    assert "non-finite state at step 3" in str(exc.value)
