@@ -17,13 +17,11 @@ from .filters import (
     JointMoments,
     fgf_solve,
     fgf_update,
-    get_feature,
     gf_update,
     joint_moments,
     make_affine_feature,
     make_monomial_feature,
     predict,
-    register_feature,
     run_filter,
     run_filter_lanes,
     standardize_feature,
@@ -85,8 +83,6 @@ __all__ = [
     "make_affine_feature",
     "make_monomial_feature",
     "standardize_feature",
-    "register_feature",
-    "get_feature",
     "predict",
     "joint_moments",
     "gf_update",

@@ -169,9 +169,13 @@ def _cmd_simulate(args) -> int:
 def _grids_for(args, model, prior, seed):
     x_range = getattr(args, "x_range", None)
     y_range = getattr(args, "y_range", None)
-    auto_x, auto_y = default_grids(
-        model, prior, n=args.grid_n, span=args.span, seed=seed
-    )
+    if x_range and y_range:
+        # Both grids are explicit: skip the Monte Carlo sizing.
+        auto_x = auto_y = None
+    else:
+        auto_x, auto_y = default_grids(
+            model, prior, n=args.grid_n, span=args.span, seed=seed
+        )
     x_grid = (
         Grid1D(*_parse_range(x_range, "--x-range"), args.grid_n) if x_range else auto_x
     )

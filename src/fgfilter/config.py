@@ -12,8 +12,7 @@ and grouped by prefix. Recognized keys:
     engine.samples      int (default 5000, quadrature.DEFAULT_SAMPLE_COUNT)
     engine.seed         int
     engine.kappa        float
-    feature.kind        affine | monomial | <registered name>
-    feature.order       int (monomial)
+    feature.order       int (monomial order)
     feature.standardize true | false
     run.steps           int
     run.seed            int
@@ -26,12 +25,6 @@ Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
-from .filters import (
-    FeatureFunction,
-    get_feature,
-    make_affine_feature,
-    make_monomial_feature,
-)
 from .models import (
     GaussianBelief,
     StateSpaceModel,
@@ -48,7 +41,6 @@ __all__ = [
     "parse_orders",
     "model_from_config",
     "engine_from_config",
-    "feature_from_config",
 ]
 
 KNOWN_KEYS = frozenset(
@@ -62,7 +54,6 @@ KNOWN_KEYS = frozenset(
         "engine.samples",
         "engine.seed",
         "engine.kappa",
-        "feature.kind",
         "feature.order",
         "feature.standardize",
         "run.steps",
@@ -165,16 +156,3 @@ def engine_from_config(cfg: dict[str, str]) -> ExpectationEngine | None:
         seed=_get(cfg, "engine.seed", int, 0),
     )
 
-
-def feature_from_config(
-    cfg: dict[str, str], meas_dim: int, default_order: int = 2
-) -> tuple[FeatureFunction, bool]:
-    """Build the configured feature; returns (feature, standardize flag)."""
-    kind = cfg.get("feature.kind", "monomial")
-    standardize = _get(cfg, "feature.standardize", parse_bool, False)
-    if kind == "affine":
-        return make_affine_feature(meas_dim), standardize
-    if kind == "monomial":
-        order = _get(cfg, "feature.order", int, default_order)
-        return make_monomial_feature(meas_dim, order), standardize
-    return get_feature(kind), standardize

@@ -55,8 +55,6 @@ __all__ = [
     "make_affine_feature",
     "make_monomial_feature",
     "standardize_feature",
-    "register_feature",
-    "get_feature",
     "predict",
     "joint_moments",
     "gf_update",
@@ -146,23 +144,6 @@ def standardize_feature(base: FeatureFunction, shift, scale) -> FeatureFunction:
     return FeatureFunction(
         name=f"{base.name}_standardized", out_dim=base.out_dim, map=mapper
     )
-
-
-_FEATURE_REGISTRY: dict[str, FeatureFunction] = {}
-
-
-def register_feature(feature: FeatureFunction, overwrite: bool = False) -> None:
-    """Register a feature under its name for config-driven lookup."""
-    if feature.name in _FEATURE_REGISTRY and not overwrite:
-        raise ValueError(f"feature {feature.name!r} is already registered")
-    _FEATURE_REGISTRY[feature.name] = feature
-
-
-def get_feature(name: str) -> FeatureFunction:
-    try:
-        return _FEATURE_REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"no feature registered under {name!r}") from None
 
 
 @dataclass(frozen=True)

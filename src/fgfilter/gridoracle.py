@@ -4,11 +4,13 @@ For scalar state and measurement, the joint density p(x, y) =
 p(y | x) p(x) can be tabulated on a rectangular grid and every quantity
 of interest (conditionals, moments, KL divergences) reduced to cell
 sums. The tabulation is brute force and assumption-free, which makes it
-the reference the sampled filters are validated against. The
-reductions read a few per-density statistics (the two marginals, the
-x-weighted column sums and the negentropy), computed once per density,
-so scoring a feature costs O(n) rather than another pass over the n^2
-cells.
+the reference the sampled filters are validated against. It fills one
+n_x * n_y float64 buffer in row blocks of x, so its peak memory is that
+buffer (32 MB at n = 2001) plus one block of likelihood temporaries.
+The reductions read a few per-density statistics (the two marginals,
+the x-weighted column sums and the negentropy), computed once per
+density, so scoring a feature costs O(n) rather than another pass over
+the n^2 cells.
 
 All grids are cell-centered: a :class:`Grid1D` with n cells over
 [lo, hi] places values at lo + (i + 1/2) * spacing, and integrals are
@@ -43,6 +45,11 @@ __all__ = [
 # Warn when the unnormalized grid integral of likelihood * prior falls
 # this far from 1: mass is escaping the grid or cells are too coarse.
 COVERAGE_TOL = 1e-3
+
+# Cells per row block when tabulating or reducing over the n_x * n_y
+# cells: each block-sized float64 temporary takes 256 KB, whatever the
+# grid size.
+_BLOCK_CELLS = 1 << 15
 
 
 class GridCoverageWarning(UserWarning):
@@ -137,16 +144,42 @@ class GridDensity2D:
 
     @cached_property
     def negentropy(self) -> float:
-        """``sum(mass * log(mass)) * cell_area``, with 0 log 0 = 0."""
-        mass = self.mass
-        terms = np.log(mass, out=np.zeros_like(mass), where=mass > 0.0)
-        terms *= mass
-        return float(terms.sum()) * self.cell_area
+        """``sum(mass * log(mass)) * cell_area``, with 0 log 0 = 0.
+
+        Summed over row blocks, so no temporary spans all the cells.
+        """
+        total = 0.0
+        for rows in _row_blocks(*self.mass.shape):
+            block = self.mass[rows]
+            terms = np.log(block, out=np.zeros_like(block), where=block > 0.0)
+            terms *= block
+            total += float(terms.sum())
+        return total * self.cell_area
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows holding about ``_BLOCK_CELLS`` cells each."""
+    step = max(1, _BLOCK_CELLS // n_cols)
+    starts = range(0, n_rows, step)
+    return [slice(start, min(start + step, n_rows)) for start in starts]
+
+
+def _owned_density(x_grid: Grid1D, y_grid: Grid1D, mass: np.ndarray) -> GridDensity2D:
+    """A density that takes ``mass`` as it is: no second screen, no copy.
+
+    Only for a fresh, already screened and normalized array that no
+    caller holds; arrays from outside go through the constructor.
+    """
+    density = object.__new__(GridDensity2D)
+    object.__setattr__(density, "x_grid", x_grid)
+    object.__setattr__(density, "y_grid", y_grid)
+    object.__setattr__(density, "mass", _read_only(mass))
+    return density
 
 
 def default_grids(
@@ -196,6 +229,12 @@ def joint_density_grid(
 ) -> GridDensity2D:
     """Tabulate p(x, y) = p(y | x) p(x) on the grid and normalize.
 
+    The cells are filled in row blocks of x, one ``model.likelihood``
+    call per block, into a single n_x * n_y buffer that is normalized in
+    place and owned by the returned density. Every block is screened:
+    a wrong shape or a negative value raises ``ValueError``, a
+    non-finite value :class:`NumericsError`.
+
     Warns with :class:`GridCoverageWarning` when the unnormalized mass
     deviates from 1 by more than 1e-3, which signals truncated prior or
     likelihood mass (or cells too coarse to resolve the density).
@@ -205,20 +244,32 @@ def joint_density_grid(
         raise ValueError("model has no likelihood; the grid oracle needs one")
     if prior.state_dim != 1:
         raise ValueError("prior must be scalar")
+    prior_var = float(prior.cov[0, 0])
+    if prior_var <= 0.0:
+        raise ValueError("prior must have positive variance")
     x = x_grid.values
     y = y_grid.values
-    prior_pdf = gaussian_pdf(x, float(prior.mean[0]), float(prior.cov[0, 0]))
-    like = np.asarray(model.likelihood(y[None, :], x[:, None]), dtype=float)
-    if like.shape != (x_grid.n, y_grid.n):
-        raise ValueError(
-            f"likelihood returned shape {like.shape}, expected {(x_grid.n, y_grid.n)}"
-        )
-    if not np.all(np.isfinite(like)):
-        raise NumericsError("likelihood produced non-finite values on the grid")
-    if np.any(like < 0.0):
-        raise ValueError("likelihood produced negative values on the grid")
-    mass = like * prior_pdf[:, None]
+    prior_pdf = gaussian_pdf(x, float(prior.mean[0]), prior_var)
+    mass = np.empty((x_grid.n, y_grid.n))
+    for rows in _row_blocks(x_grid.n, y_grid.n):
+        like = np.asarray(model.likelihood(y[None, :], x[rows, None]), dtype=float)
+        expected = (rows.stop - rows.start, y_grid.n)
+        if like.shape != expected:
+            raise ValueError(
+                f"likelihood returned shape {like.shape} for x rows "
+                f"{rows.start}:{rows.stop}, expected {expected}"
+            )
+        # min and max carry any NaN or infinity, and cannot overflow
+        # the way a sum of large finite values can.
+        lo, hi = like.min(), like.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise NumericsError("likelihood produced non-finite values on the grid")
+        if lo < 0.0:
+            raise ValueError("likelihood produced negative values on the grid")
+        np.multiply(like, prior_pdf[rows, None], out=mass[rows])
     total = float(mass.sum()) * x_grid.spacing * y_grid.spacing
+    if not np.isfinite(total):
+        raise NumericsError("joint density mass overflows on the grid")
     if total <= 0.0:
         raise NumericsError("joint density is identically zero on the grid")
     if abs(total - 1.0) > COVERAGE_TOL:
@@ -228,7 +279,8 @@ def joint_density_grid(
             GridCoverageWarning,
             stacklevel=2,
         )
-    return GridDensity2D(x_grid=x_grid, y_grid=y_grid, mass=mass / total)
+    mass /= total
+    return _owned_density(x_grid, y_grid, mass)
 
 
 def conditional_slice(density: GridDensity2D, y: float) -> np.ndarray:

@@ -52,7 +52,9 @@ class StateSpaceModel:
     likelihood : callable, optional
         ``likelihood(y, x)`` returning the observation density
         pointwise, broadcasting over both arguments. Only needed by the
-        grid oracle; filtering never evaluates it.
+        grid oracle, which calls it on row blocks of the grid (a block
+        of x values against every y), so each value may depend on its
+        own (y, x) pair only; filtering never evaluates it.
     name : str
         Identifier used in reports and output file names.
     """

@@ -168,6 +168,24 @@ def test_density_writer_matches_csv_writer(tmp_path):
     assert path.read_bytes() == ref.read_bytes()
 
 
+def test_density_with_both_ranges_skips_the_auto_grids(tmp_path, monkeypatch, capsys):
+    def density_bytes(name):
+        out = tmp_path / name
+        argv = ["density", "--model", "noise_magnitude", "--grid-n", "41"]
+        ranges = ["--x-range", "0.5,9.5", "--y-range=-25,25"]
+        assert cli_main([*argv, *ranges, "--out", str(out)]) == 0
+        return (out / "density_noise_magnitude.csv").read_bytes()
+
+    expected = density_bytes("auto")
+
+    def no_auto_grids(*args, **kwargs):
+        raise AssertionError("default_grids called although both ranges are given")
+
+    monkeypatch.setattr("fgfilter.cli.default_grids", no_auto_grids)
+    assert density_bytes("explicit") == expected
+    capsys.readouterr()
+
+
 def test_grids_use_the_config_seed(tmp_path, capsys):
     def kl_bytes(name, *extra):
         out = tmp_path / name
@@ -205,9 +223,11 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "model.name = heaviside\nrun.bogus = 1\n")
-    assert cli_main(["simulate", "--config", str(cfg)]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    # feature.kind was once accepted but never used, so it is unknown now
+    for line in ("run.bogus = 1", "feature.kind = affine"):
+        cfg = _write_config(tmp_path, f"model.name = heaviside\n{line}\n")
+        assert cli_main(["simulate", "--config", str(cfg)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

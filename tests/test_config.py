@@ -5,7 +5,6 @@ import pytest
 from fgfilter import run_noise_experiment
 from fgfilter.config import (
     engine_from_config,
-    feature_from_config,
     load_config,
     model_from_config,
     parse_bool,
@@ -93,16 +92,3 @@ def test_engine_draw_default_is_shared():
     eng = engine_from_config({"engine.seed": "3"})
     report = run_noise_experiment(steps=3, seed=0)
     assert eng.sample_count == report.engine.sample_count == DEFAULT_SAMPLE_COUNT
-
-
-def test_feature_from_config():
-    feat, standardize = feature_from_config({}, meas_dim=1)
-    assert feat.name == "monomial2" and not standardize
-    feat, standardize = feature_from_config(
-        {"feature.order": "3", "feature.standardize": "true"}, meas_dim=1
-    )
-    assert feat.name == "monomial3" and standardize
-    feat, _ = feature_from_config({"feature.kind": "affine"}, meas_dim=2)
-    assert feat.out_dim == 3
-    with pytest.raises(ValueError):
-        feature_from_config({"feature.kind": "fourier"}, meas_dim=1)

@@ -22,7 +22,6 @@ from fgfilter import (
     StateSpaceModel,
     fgf_solve,
     fgf_update,
-    get_feature,
     gf_update,
     joint_moments,
     make_affine_feature,
@@ -31,7 +30,6 @@ from fgfilter import (
     make_noise_magnitude_model,
     monte_carlo,
     predict,
-    register_feature,
     run_filter,
     run_filter_lanes,
     sigma_point,
@@ -87,17 +85,6 @@ def test_standardize_feature_rescales_inputs():
     assert_allclose(feat.map(np.array([[5.0]])), base.map(np.array([[1.0]])))
     with pytest.raises(ValueError):
         standardize_feature(base, shift=0.0, scale=0.0)
-
-
-def test_feature_registry():
-    feat = FeatureFunction(name="reg_test", out_dim=2, map=lambda y: y)
-    register_feature(feat)
-    assert get_feature("reg_test") is feat
-    with pytest.raises(ValueError):
-        register_feature(feat)
-    register_feature(feat, overwrite=True)
-    with pytest.raises(ValueError):
-        get_feature("no_such_feature")
 
 
 def test_joint_moments_validation():

@@ -4,9 +4,11 @@ The oracle is itself validated here against closed forms: Gaussian
 moments against scipy, grid conditionals against the exact conjugate
 posterior of a linear model, and the KL objective against its known
 minimizer. Its reductions from per-density statistics are checked
-against the plain cell sums kept below as the reference.
+against the plain cell sums kept below as the reference, and its
+row-blocked tabulation against a one-shot table, bit for bit.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,10 +33,12 @@ from fgfilter import (
     joint_density_grid,
     kl_conditional,
     make_affine_feature,
+    make_heaviside_model,
     make_monomial_feature,
     make_noise_magnitude_model,
 )
-from fgfilter._linalg import gaussian_log_pdf, symmetrize
+from fgfilter import gridoracle
+from fgfilter._linalg import gaussian_log_pdf, gaussian_pdf, symmetrize
 from fgfilter.filters import JointMoments
 from helpers import linear_ssm
 
@@ -130,6 +134,7 @@ def test_grid_density_validation():
     mass = np.ones((3, 2))  # uniform density over the unit square
     d = GridDensity2D(x, y, mass)
     assert_allclose(d.cell_area, 1.0 / 6.0)
+    assert not np.shares_memory(d.mass, mass)
     with pytest.raises(ValueError):
         GridDensity2D(x, y, np.ones((2, 3)))
     with pytest.raises(ValueError):
@@ -171,6 +176,9 @@ def test_joint_density_requires_likelihood_and_scalar():
     )
     with pytest.raises(ValueError):
         joint_density_grid(no_like, GaussianBelief(0.0, 1.0), xg, xg)
+    with_like = make_noise_magnitude_model()[0]
+    with pytest.raises(ValueError):
+        joint_density_grid(with_like, GaussianBelief(5.0, 0.0), xg, xg)
     sys = {
         "a": np.eye(2), "b": np.zeros(2), "q": np.eye(2),
         "c": np.eye(2), "d": np.zeros(2), "r": np.eye(2),
@@ -352,3 +360,103 @@ def test_conditional_mean_curve_matches_cell_sums():
     ref = (joint.x_grid.values @ joint.mass)[live] / weights[live]
     assert np.isnan(curve[3]) and np.array_equal(np.isnan(curve), ~live)
     assert_allclose(curve[live], ref, rtol=1e-13)
+
+
+def _screen_grids():
+    # Several full row blocks of 64 y cells and a shorter last one.
+    xg, yg = Grid1D(-4.0, 4.0, 1100), Grid1D(-6.0, 6.0, 64)
+    rows = gridoracle._BLOCK_CELLS // yg.n
+    assert xg.n > 2 * rows and xg.n % rows != 0
+    return xg, yg
+
+
+def _model_with(likelihood):
+    return StateSpaceModel(
+        1, 1, 1, 1, lambda x, v: x + v, lambda x, w: x + w,
+        likelihood=likelihood, name="screened",
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, match",
+    [
+        (lambda d, bad: np.where(bad, np.nan, d), NumericsError, "produced non-finite"),
+        (lambda d, bad: np.where(bad, np.inf, d), NumericsError, "produced non-finite"),
+        (lambda d, bad: np.where(bad, -1e-300, d), ValueError, "produced negative"),
+        (lambda d, bad: d[:, :-1] if bad.any() else d, ValueError, "returned shape"),
+        (lambda d, bad: np.zeros_like(d), NumericsError, "identically zero"),
+    ],
+    ids=["nan", "inf", "negative", "shape", "zeros"],
+)
+def test_joint_density_screens_the_last_block(corrupt, error, match):
+    xg, yg = _screen_grids()
+    calls = []
+
+    def likelihood(y, x):
+        calls.append(x[-1, 0])
+        bad = (x == xg.values[-1]) & (y == yg.values[-1])
+        return corrupt(gaussian_pdf(y - x), bad)
+
+    with pytest.raises(error, match=match):
+        joint_density_grid(_model_with(likelihood), GaussianBelief(0.0, 1.0), xg, yg)
+    # every block was tabulated, and the failing call held the last row
+    assert len(calls) == -(-xg.n // (gridoracle._BLOCK_CELLS // yg.n))
+    assert calls[-1] == xg.values[-1]
+
+
+@pytest.mark.parametrize("value, prior_var", [(1e300, 1e-300), (1e305, 1.0)])
+def test_joint_density_reports_overflow_of_finite_values(value, prior_var):
+    # a needle prior overflows the product; a large table overflows the sum
+    xg = Grid1D(-5.0, 5.0, 301)
+    model = _model_with(lambda y, x: np.full(np.broadcast(y, x).shape, value))
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="overflows"):
+        joint_density_grid(model, GaussianBelief(0.0, prior_var), xg, xg)
+
+
+def test_joint_density_leaves_a_cached_likelihood_table_alone():
+    xg, yg = _screen_grids()
+    table = gaussian_pdf(yg.values[None, :] - xg.values[:, None])
+    table.setflags(write=False)
+    before = table.copy()
+
+    def likelihood(y, x):
+        start = int(np.searchsorted(xg.values, x[0, 0]))
+        return table[start : start + x.shape[0]]
+
+    prior = GaussianBelief(0.0, 1.0)
+    joint = joint_density_grid(_model_with(likelihood), prior, xg, yg)
+    assert not table.flags.writeable and np.array_equal(table, before)
+    assert not np.shares_memory(joint.mass, table)
+    assert not joint.mass.flags.writeable
+
+
+@pytest.mark.parametrize("make", [make_noise_magnitude_model, make_heaviside_model])
+def test_blocked_tabulation_equals_the_one_shot_table(make):
+    model, prior = make()
+    xg, yg = default_grids(model, prior, n=301)
+    assert xg.n % (gridoracle._BLOCK_CELLS // yg.n) != 0
+    x, y = xg.values, yg.values
+    like = model.likelihood(y[None, :], x[:, None])
+    prior_pdf = gaussian_pdf(x, float(prior.mean[0]), float(prior.cov[0, 0]))
+    total = float((like * prior_pdf[:, None]).sum()) * xg.spacing * yg.spacing
+    ref = like * prior_pdf[:, None] / total
+    joint = joint_density_grid(model, prior, xg, yg)
+    assert np.array_equal(joint.mass, ref)
+    live = ref > 0.0
+    negentropy = float((ref[live] * np.log(ref[live])).sum()) * joint.cell_area
+    assert_allclose(joint.negentropy, negentropy, rtol=1e-12)
+
+
+@pytest.mark.parametrize("make", [make_noise_magnitude_model, make_heaviside_model])
+def test_tabulation_peak_memory_is_one_buffer_and_a_block(make):
+    model, prior = make()
+    xg, yg = default_grids(model, prior, n=801)
+    tracemalloc.start()
+    try:
+        joint = joint_density_grid(model, prior, xg, yg)
+        joint.negentropy
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / joint.mass.nbytes
+    assert ratio <= 1.5, f"peak is {ratio:.2f} times the density's bytes"
