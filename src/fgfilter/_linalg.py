@@ -1,9 +1,12 @@
 """Dense linear-algebra helpers shared across the package.
 
 Covariance handling follows one policy everywhere: matrices are kept
-explicitly symmetric, factorizations retry with an escalating diagonal
-jitter before giving up, and failures raise :class:`NumericsError` so
-callers can tell numerical breakdown apart from bad arguments.
+explicitly symmetric, and failures raise :class:`NumericsError` so
+callers can tell numerical breakdown apart from bad arguments. The
+package's finite screen (:func:`_finite`) and PSD screen
+(:func:`_psd_ok`, :func:`_require_psd`) are defined here once. Only
+Cholesky factorizations retry with an escalating diagonal jitter before
+giving up; a matrix that fails the PSD screen is rejected, not repaired.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 BASE_JITTER = 1e-12
 MAX_JITTER_ROUNDS = 3
 
-# "PSD up to roundoff": smallest eigenvalue >= -PSD_REL_TOL * max|eigenvalue|.
+# Relative tolerance of the PSD screen (_psd_ok) and of _clip_psd.
 PSD_REL_TOL = 1e-10
 
 _TINY = np.finfo(float).tiny
@@ -33,10 +36,12 @@ __all__ = [
 
 
 class NumericsError(RuntimeError):
-    """A numerical operation failed beyond the jitter recovery budget.
+    """Numerical breakdown, as opposed to a bad argument.
 
-    Sequential drivers (the filter loop) fill in ``step`` so a failed run
-    reports where it broke down; one-shot operations leave it ``None``.
+    Raised for non-finite values, a matrix that fails the PSD screen,
+    and a factorization that fails beyond the jitter budget. Sequential
+    drivers (the filter loop) fill in ``step`` so a failed run reports
+    where it broke down; one-shot operations leave it ``None``.
     """
 
     def __init__(self, message: str, step: int | None = None):
@@ -50,9 +55,23 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def _finite(a: np.ndarray) -> bool:
-    # Sum-based screen: NaN and infinities always surface in the sum
-    # (inf - inf gives NaN), far cheaper than isfinite().all().
-    return bool(np.isfinite(a.sum()))
+    return bool(np.isfinite(a).all())
+
+
+def _psd_ok(w: np.ndarray) -> np.ndarray:
+    # The PSD screen, on ascending eigenvalues of shape (..., n): PSD up
+    # to roundoff, smallest >= -PSD_REL_TOL * max|eigenvalue|. A NaN
+    # eigenvalue fails it.
+    scale = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    return w[..., 0] >= -PSD_REL_TOL * np.maximum(scale, _TINY)
+
+
+def _require_psd(mat: np.ndarray, what: str) -> None:
+    # Raising form of the PSD screen for one finite square matrix; only
+    # its symmetric part is screened.
+    w = np.linalg.eigvalsh(symmetrize(mat))
+    if not _psd_ok(w):
+        raise NumericsError(f"{what} has eigenvalue {w[0]!r}, negative beyond tolerance")
 
 
 def _require_square(a: np.ndarray, what: str) -> None:
@@ -60,53 +79,23 @@ def _require_square(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
 
 
-def _jitter_start(mat: np.ndarray) -> float:
-    # Scale-aware base jitter; falls back to an absolute floor for
-    # all-zero matrices so escalation is never a no-op.
-    mean_diag = float(np.trace(mat)) / mat.shape[0]
-    return BASE_JITTER * max(mean_diag, _TINY)
-
-
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive semidefinite matrix.
 
-    Eigendecomposition-based so the result is itself symmetric; tiny
-    negative eigenvalues from roundoff are clipped to zero. Diagonal
-    input takes an elementwise fast path. Raises
-    :class:`NumericsError` if the matrix stays indefinite through the
-    jitter schedule.
+    The one-matrix case of the stacked roots the filter takes:
+    eigendecomposition-based, so the result is itself symmetric, with
+    eigenvalues that are negative within roundoff clipped to zero.
+    Raises :class:`NumericsError` for a non-finite matrix or one that
+    fails the PSD screen; there is no jitter retry.
     """
     a = np.asarray(a, dtype=float)
     _require_square(a, "matrix")
     if not _finite(a):
         raise NumericsError("matrix square root of a non-finite matrix")
-    n = a.shape[0]
-    if n == 1:
-        v = a[0, 0]
-        if v < 0.0:
-            raise NumericsError(f"negative variance {v!r} has no real square root")
-        return np.array([[np.sqrt(v)]])
-    diag = np.diagonal(a)
-    if np.count_nonzero(a) == np.count_nonzero(diag) and np.all(diag >= 0.0):
-        return np.diag(np.sqrt(diag))
-
-    mat = symmetrize(a)
-    jitter = _jitter_start(mat)
-    for round_ in range(MAX_JITTER_ROUNDS + 1):
-        try:
-            w, v = np.linalg.eigh(mat)
-        except np.linalg.LinAlgError:
-            w = None
-        if w is not None:
-            bound = PSD_REL_TOL * max(abs(w[0]), abs(w[-1]), _TINY)
-            if w[0] >= -bound:
-                return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-        if round_ < MAX_JITTER_ROUNDS:
-            mat = mat + jitter * np.eye(n)
-            jitter *= 10.0
-    raise NumericsError(
-        "matrix is not positive semidefinite within the jitter budget"
-    )
+    roots, ok = _psd_roots(a[None])
+    if not ok[0]:
+        raise NumericsError("matrix is not positive semidefinite within tolerance")
+    return roots[0]
 
 
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,7 +131,9 @@ def _cho_solve_jittered(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
             return dpotrs(low, b, lower=1)[0]
         if round_ < MAX_JITTER_ROUNDS:
             if jitter is None:
-                jitter = _jitter_start(mat)
+                # Scale-aware, with an absolute floor for all-zero
+                # matrices so escalation is never a no-op.
+                jitter = BASE_JITTER * max(float(np.trace(mat)) / mat.shape[0], _TINY)
             mat = mat + jitter * np.eye(mat.shape[0])
             jitter *= 10.0
     raise NumericsError("matrix is singular within the jitter budget")
@@ -190,20 +181,19 @@ def _clip_psd(a: np.ndarray, scale: float | None) -> np.ndarray:
 def _psd_roots(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric square roots of a stack of covariances, shape (L, d, d).
 
-    Also returns the PSD screen, a boolean mask over the stack: False
-    where the smallest eigenvalue is negative beyond ``PSD_REL_TOL``
-    (or is NaN). Roots of screened-out entries are meaningless. There
-    is no jitter retry: a belief that fails the screen is broken.
+    Also returns the PSD screen (:func:`_psd_ok`), a boolean mask over
+    the stack. Roots of screened-out entries are meaningless. There is
+    no jitter retry: a belief that fails the screen is broken.
     Non-finite input need not fail the screen, but its root then holds
     NaN, which the caller's non-finite screen catches downstream.
     """
     if covs.shape[-1] == 1:
+        # The screen's verdict on a single eigenvalue w is w >= 0.
         var = covs[:, 0, 0]
         ok = var >= 0.0
         return np.sqrt(np.where(ok, var, 0.0))[:, None, None], ok
     w, v = np.linalg.eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
-    bound = PSD_REL_TOL * np.maximum(np.abs(w).max(axis=1), _TINY)
-    ok = w[:, 0] >= -bound
+    ok = _psd_ok(w)
     roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.swapaxes(-1, -2)
     return roots, ok
 

@@ -28,6 +28,8 @@ from pathlib import Path
 from ._linalg import NumericsError
 from .config import (
     MODEL_NAMES,
+    _get,
+    _model_kwargs,
     engine_from_config,
     load_config,
     model_from_config,
@@ -42,6 +44,7 @@ from .experiments import (
 from .filters import fgf_solve, make_affine_feature, make_monomial_feature
 from .gridoracle import (
     Grid1D,
+    _state_grid,
     default_grids,
     grid_joint_moments,
     joint_density_grid,
@@ -50,10 +53,9 @@ from .gridoracle import (
 
 __all__ = ["cli_main", "main"]
 
-# Per-model defaults: the feature order that makes the measurement
-# informative, and whether runs standardize feature inputs.
+# Per-model default: the feature order that makes the measurement
+# informative.
 _DEFAULT_ORDER = {"noise_magnitude": 2, "heaviside": 3}
-_DEFAULT_STANDARDIZE = {"noise_magnitude": False, "heaviside": True}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,35 +110,26 @@ def _resolve(args) -> dict:
     model, prior = model_from_config(cfg, getattr(args, "model", None))
     out_dir = Path(args.out if args.out is not None else cfg.get("run.out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(cfg.get("run.seed", "0"))
+    seed = args.seed if args.seed is not None else _get(cfg, "run.seed", int, 0)
     return {"cfg": cfg, "model": model, "prior": prior, "out": out_dir, "seed": seed}
+
+
+def _orders(args, cfg, default) -> tuple[int, ...]:
+    if args.orders:
+        return parse_orders(args.orders)
+    return _get(cfg, "run.orders", parse_orders, default)
 
 
 def _cmd_simulate(args) -> int:
     common = _resolve(args)
     cfg, model, out_dir = common["cfg"], common["model"], common["out"]
-    steps = args.steps if args.steps is not None else int(cfg.get("run.steps", "1000"))
-    seeds = args.seeds if args.seeds is not None else int(cfg.get("run.seeds", "1"))
-    raw_orders = args.orders or cfg.get("run.orders")
-    orders = (
-        parse_orders(raw_orders)
-        if raw_orders
-        else (_DEFAULT_ORDER[model.name],)
-    )
-    standardize = (
-        parse_bool(cfg["feature.standardize"])
-        if "feature.standardize" in cfg
-        else _DEFAULT_STANDARDIZE[model.name]
-    )
-    model_kwargs = {}
-    if "model.prior_mean" in cfg:
-        model_kwargs["prior_mean"] = float(cfg["model.prior_mean"])
-    if "model.prior_var" in cfg:
-        model_kwargs["prior_var"] = float(cfg["model.prior_var"])
-    if model.name == "noise_magnitude" and "model.noise_scale" in cfg:
-        model_kwargs["noise_scale"] = float(cfg["model.noise_scale"])
-    if model.name == "heaviside" and "model.step_height" in cfg:
-        model_kwargs["step_height"] = float(cfg["model.step_height"])
+    steps = args.steps if args.steps is not None else _get(cfg, "run.steps", int, 1000)
+    seeds = args.seeds if args.seeds is not None else _get(cfg, "run.seeds", int, 1)
+    orders = _orders(args, cfg, (_DEFAULT_ORDER[model.name],))
+    # Options left unset keep the experiment runner's defaults.
+    options = _model_kwargs(cfg, model.name)
+    if "feature.standardize" in cfg:
+        options["standardize"] = _get(cfg, "feature.standardize", parse_bool, None)
     reports = run_experiment_batch(
         model.name,
         n_seeds=seeds,
@@ -144,8 +137,7 @@ def _cmd_simulate(args) -> int:
         steps=steps,
         engine=engine_from_config(cfg),
         orders=orders,
-        standardize=standardize,
-        **model_kwargs,
+        **options,
     )
     for order in orders:
         path = out_dir / f"report_{model.name}_{order}.csv"
@@ -169,19 +161,16 @@ def _cmd_simulate(args) -> int:
 def _grids_for(args, model, prior, seed):
     x_range = getattr(args, "x_range", None)
     y_range = getattr(args, "y_range", None)
-    if x_range and y_range:
-        # Both grids are explicit: skip the Monte Carlo sizing.
-        auto_x = auto_y = None
+    if y_range:
+        # The Monte Carlo draws of default_grids size only the y grid.
+        y_grid = Grid1D(*_parse_range(y_range, "--y-range"), args.grid_n)
+        x_grid = None if x_range else _state_grid(prior, args.grid_n, args.span)
     else:
-        auto_x, auto_y = default_grids(
+        x_grid, y_grid = default_grids(
             model, prior, n=args.grid_n, span=args.span, seed=seed
         )
-    x_grid = (
-        Grid1D(*_parse_range(x_range, "--x-range"), args.grid_n) if x_range else auto_x
-    )
-    y_grid = (
-        Grid1D(*_parse_range(y_range, "--y-range"), args.grid_n) if y_range else auto_y
-    )
+    if x_range:
+        x_grid = Grid1D(*_parse_range(x_range, "--x-range"), args.grid_n)
     return x_grid, y_grid
 
 
@@ -195,7 +184,7 @@ def _cmd_density(args) -> int:
     )
     order = args.order
     if order is None:
-        order = int(cfg.get("feature.order", _DEFAULT_ORDER[model.name]))
+        order = _get(cfg, "feature.order", int, _DEFAULT_ORDER[model.name])
     x_grid, y_grid = _grids_for(args, model, prior, common["seed"])
     joint = joint_density_grid(model, prior, x_grid, y_grid)
     affine = make_affine_feature(model.meas_dim)
@@ -245,8 +234,7 @@ def _cmd_kl(args) -> int:
         common["prior"],
         common["out"],
     )
-    raw_orders = args.orders or cfg.get("run.orders")
-    orders = parse_orders(raw_orders) if raw_orders else (1, 2, 3)
+    orders = _orders(args, cfg, (1, 2, 3))
     x_grid, y_grid = _grids_for(args, model, prior, common["seed"])
     joint = joint_density_grid(model, prior, x_grid, y_grid)
     rows = []

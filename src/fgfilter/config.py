@@ -20,7 +20,8 @@ and grouped by prefix. Recognized keys:
     run.orders          comma-separated ints
     run.out             output directory
 
-Unknown keys are rejected so typos fail loudly.
+Unknown keys, and model.* keys the selected model does not take, are
+rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ KNOWN_KEYS = frozenset(
     }
 )
 
-MODEL_NAMES = ("noise_magnitude", "heaviside")
+# The model.* keys each built-in model's factory takes, by parameter name.
+_MODEL_PARAMS = {
+    "noise_magnitude": ("prior_mean", "prior_var", "noise_scale"),
+    "heaviside": ("prior_mean", "prior_var", "step_height"),
+}
+MODEL_NAMES = tuple(_MODEL_PARAMS)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -122,6 +128,22 @@ def parse_orders(raw: str) -> tuple[int, ...]:
     return orders
 
 
+def _model_kwargs(cfg: dict[str, str], name: str) -> dict[str, float]:
+    # Factory keyword arguments from the model.* keys that are set; the
+    # factory's own defaults cover the rest.
+    if name not in _MODEL_PARAMS:
+        raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
+    kwargs = {}
+    for key in cfg:
+        if not key.startswith("model.") or key == "model.name":
+            continue
+        param = key[len("model.") :]
+        if param not in _MODEL_PARAMS[name]:
+            raise ValueError(f"config key {key!r} does not apply to model {name!r}")
+        kwargs[param] = _get(cfg, key, float, None)
+    return kwargs
+
+
 def model_from_config(
     cfg: dict[str, str], name: str | None = None
 ) -> tuple[StateSpaceModel, GaussianBelief]:
@@ -129,19 +151,10 @@ def model_from_config(
     name = name or cfg.get("model.name")
     if name is None:
         raise ValueError("no model selected: pass --model or set model.name")
-    if name == "noise_magnitude":
-        return make_noise_magnitude_model(
-            prior_mean=_get(cfg, "model.prior_mean", float, 5.0),
-            prior_var=_get(cfg, "model.prior_var", float, 1.0),
-            noise_scale=_get(cfg, "model.noise_scale", float, 0.1),
-        )
+    kwargs = _model_kwargs(cfg, name)
     if name == "heaviside":
-        return make_heaviside_model(
-            prior_mean=_get(cfg, "model.prior_mean", float, 0.0),
-            prior_var=_get(cfg, "model.prior_var", float, 5.0),
-            step_height=_get(cfg, "model.step_height", float, 50.0),
-        )
-    raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
+        return make_heaviside_model(**kwargs)
+    return make_noise_magnitude_model(**kwargs)
 
 
 def engine_from_config(cfg: dict[str, str]) -> ExpectationEngine | None:

@@ -35,15 +35,14 @@ import numpy as np
 
 from ._linalg import (
     NumericsError,
-    PSD_REL_TOL,
     _TINY,
     _cho_solve_jittered,
     _clip_psd,
     _finite,
     _psd_roots,
+    _require_psd,
     ensure_psd,
     solve_psd,
-    symmetrize,
 )
 from .models import GaussianBelief, StateSpaceModel
 from .quadrature import ExpectationEngine, _unit_points
@@ -135,7 +134,7 @@ def standardize_feature(base: FeatureFunction, shift, scale) -> FeatureFunction:
     """
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     scale = np.atleast_1d(np.asarray(scale, dtype=float))
-    if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
+    if np.any(scale <= 0.0) or not _finite(scale):
         raise ValueError("scale must be positive and finite")
 
     def mapper(y):
@@ -174,21 +173,10 @@ class JointMoments:
                 f"mu_x {mu_x.shape}, mu_f {mu_f.shape}, s_xx {s_xx.shape}, "
                 f"s_ff {s_ff.shape}, s_xf {s_xf.shape}"
             )
-        # One combined finite screen: any NaN or infinity survives sums.
-        total = mu_x.sum() + mu_f.sum() + s_xx.sum() + s_ff.sum() + s_xf.sum()
-        if not np.isfinite(total):
+        if not all(_finite(a) for a in (mu_x, mu_f, s_xx, s_ff, s_xf)):
             raise NumericsError("joint moments contain non-finite values")
-        for label, mat in (("s_xx", s_xx), ("s_ff", s_ff)):
-            if mat.shape[0] == 1:
-                if mat[0, 0] < 0.0:
-                    raise NumericsError(f"{label} has negative variance {mat[0, 0]!r}")
-                continue
-            eigs = np.linalg.eigvalsh(symmetrize(mat))
-            bound = PSD_REL_TOL * max(abs(eigs[0]), abs(eigs[-1]), _TINY)
-            if eigs[0] < -bound:
-                raise NumericsError(
-                    f"{label} has eigenvalue {eigs[0]!r}, negative beyond tolerance"
-                )
+        _require_psd(s_xx, "s_xx")
+        _require_psd(s_ff, "s_ff")
         for name, arr in (
             ("mu_x", mu_x),
             ("mu_f", mu_f),
@@ -219,7 +207,7 @@ class FgfPosteriorParams:
     def __post_init__(self):
         gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
         sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        if not np.all(np.isfinite(gamma)):
+        if not _finite(gamma):
             raise NumericsError("gamma contains non-finite values")
         if sigma.shape != (gamma.shape[0], gamma.shape[0]):
             raise ValueError(
@@ -432,7 +420,7 @@ def gf_update(moments: JointMoments, y) -> GaussianBelief:
     dy = moments.feature_dim - 1
     if y.shape != (dy,):
         raise ValueError(f"measurement shape {y.shape} does not match ({dy},)")
-    if not np.all(np.isfinite(y)):
+    if not _finite(y):
         raise ValueError("measurement must be finite")
     mu_y = moments.mu_f[1:]
     s_yy = moments.s_ff[1:, 1:]
@@ -475,7 +463,7 @@ def fgf_update(
 ) -> GaussianBelief:
     """Evaluate the fitted conditional at an observed measurement."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.all(np.isfinite(y)):
+    if not _finite(y):
         raise ValueError("measurement must be finite")
     phi = _evaluate_feature(feature, y[None, :])[0]
     if phi.shape[0] != params.feature_dim:
@@ -551,7 +539,7 @@ def run_filter_lanes(
             f"measurements shape {ys.shape} does not match "
             f"(steps, {model.meas_dim})"
         )
-    if not np.all(np.isfinite(ys)):
+    if not _finite(ys):
         raise ValueError("measurements must be finite")
     # Non-finite values are screened once per step and reported as
     # NumericsError, so numpy's warnings on the way there are noise.

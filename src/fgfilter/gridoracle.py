@@ -196,13 +196,9 @@ def default_grids(
     Monte Carlo moments of the measurement under it.
     """
     _require_scalar(model)
-    mu = float(belief.mean[0])
-    sd = float(np.sqrt(belief.cov[0, 0]))
-    if sd <= 0.0:
-        raise ValueError("belief must have positive variance")
-    x_grid = Grid1D(mu - span * sd, mu + span * sd, n)
+    x_grid = _state_grid(belief, n, span)
     rng = np.random.default_rng(seed)
-    xs = mu + sd * rng.standard_normal((samples, 1))
+    xs = belief.mean[0] + np.sqrt(belief.cov[0, 0]) * rng.standard_normal((samples, 1))
     ws = rng.standard_normal((samples, model.obs_noise_dim))
     ys = np.asarray(model.observe(xs, ws), dtype=float)[:, 0]
     spread = float(ys.std())
@@ -211,6 +207,15 @@ def default_grids(
     center = float(ys.mean())
     y_grid = Grid1D(center - span * spread, center + span * spread, n)
     return x_grid, y_grid
+
+
+def _state_grid(belief: GaussianBelief, n: int, span: float) -> Grid1D:
+    # The x grid of default_grids, straight from a scalar belief.
+    mu = float(belief.mean[0])
+    sd = float(np.sqrt(belief.cov[0, 0]))
+    if sd <= 0.0:
+        raise ValueError("belief must have positive variance")
+    return Grid1D(mu - span * sd, mu + span * sd, n)
 
 
 def _require_scalar(model: StateSpaceModel) -> None:

@@ -22,6 +22,8 @@ from ._linalg import (
     NumericsError,
     PSD_REL_TOL,
     _TINY,
+    _finite,
+    _require_psd,
     gaussian_pdf,
     symmetrize,
 )
@@ -102,7 +104,7 @@ class GaussianBelief:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match state dimension {d}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not (_finite(mean) and _finite(cov)):
             raise NumericsError("belief has non-finite mean or covariance")
         if d == 1:
             if cov[0, 0] < 0.0:
@@ -113,12 +115,7 @@ class GaussianBelief:
             if gap > PSD_REL_TOL * (float(np.max(np.abs(cov))) + _TINY):
                 raise ValueError(f"covariance is asymmetric (max gap {gap!r})")
             cov = symmetrize(cov)
-            eigs = np.linalg.eigvalsh(cov)
-            bound = PSD_REL_TOL * max(abs(eigs[0]), abs(eigs[-1]), _TINY)
-            if eigs[0] < -bound:
-                raise NumericsError(
-                    f"covariance has eigenvalue {eigs[0]!r}, negative beyond tolerance"
-                )
+            _require_psd(cov, "covariance")
         mean = mean.copy()
         mean.setflags(write=False)
         cov.setflags(write=False)

@@ -186,6 +186,24 @@ def test_density_with_both_ranges_skips_the_auto_grids(tmp_path, monkeypatch, ca
     capsys.readouterr()
 
 
+def test_density_with_only_a_y_range_takes_x_from_the_prior(tmp_path, monkeypatch, capsys):
+    def density_bytes(name, *ranges):
+        out = tmp_path / name
+        argv = ["density", "--model", "noise_magnitude", "--grid-n", "41"]
+        assert cli_main([*argv, *ranges, "--y-range=-25,25", "--out", str(out)]) == 0
+        return (out / "density_noise_magnitude.csv").read_bytes()
+
+    # The prior N(5, 1) at the default span of 6 standard deviations.
+    expected = density_bytes("explicit", "--x-range=-1,11")
+
+    def no_auto_grids(*args, **kwargs):
+        raise AssertionError("default_grids called although the y range is given")
+
+    monkeypatch.setattr("fgfilter.cli.default_grids", no_auto_grids)
+    assert density_bytes("prior") == expected
+    capsys.readouterr()
+
+
 def test_grids_use_the_config_seed(tmp_path, capsys):
     def kl_bytes(name, *extra):
         out = tmp_path / name
@@ -237,3 +255,54 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("simulate", "run.steps = abc"),
+        ("simulate", "run.seeds = abc"),
+        ("simulate", "run.seed = abc"),
+        ("simulate", "run.orders = 1,abc"),
+        ("simulate", "feature.standardize = maybe"),
+        ("density", "feature.order = abc"),
+    ],
+)
+def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):
+    cfg = _write_config(tmp_path, f"model.name = noise_magnitude\n{line}\n")
+    rc = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    key = line.split("=")[0].strip()
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [("heaviside", "model.noise_scale = 7"), ("noise_magnitude", "model.step_height = 7")],
+)
+def test_model_key_of_the_other_model_exits_one(tmp_path, capsys, name, line):
+    cfg = _write_config(tmp_path, f"model.name = {name}\n{line}\n")
+    rc = cli_main(["simulate", "--config", str(cfg), "--steps", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert line.split("=")[0].strip() in err and name in err
+
+
+def test_simulate_passes_only_the_options_that_are_set(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_batch(model_name, **kwargs):
+        seen.append(kwargs)
+        raise ValueError("stop")
+
+    monkeypatch.setattr("fgfilter.cli.run_experiment_batch", fake_batch)
+    bare = _write_config(tmp_path, "model.name = heaviside\n")
+    assert cli_main(["simulate", "--config", str(bare)]) == 1
+    set_ = _write_config(
+        tmp_path,
+        "model.name = heaviside\nmodel.prior_var = 2\nfeature.standardize = no\n",
+    )
+    assert cli_main(["simulate", "--config", str(set_)]) == 1
+    capsys.readouterr()
+    assert not {"prior_mean", "prior_var", "step_height", "standardize"} & set(seen[0])
+    assert seen[1]["prior_var"] == 2.0 and seen[1]["standardize"] is False

@@ -76,6 +76,17 @@ def test_model_from_config():
         model_from_config({"model.name": "heaviside", "model.prior_var": "wide"})
 
 
+def test_model_from_config_rejects_the_other_models_keys():
+    model, prior = model_from_config({"model.name": "heaviside"})
+    assert (prior.mean[0], prior.cov[0, 0]) == (0.0, 5.0)
+    with pytest.raises(ValueError, match="'model.noise_scale'.*'heaviside'"):
+        model_from_config({"model.name": "heaviside", "model.noise_scale": "7"})
+    # the key is checked against the model actually selected
+    cfg = {"model.name": "heaviside", "model.step_height": "7"}
+    with pytest.raises(ValueError, match="'model.step_height'.*'noise_magnitude'"):
+        model_from_config(cfg, name="noise_magnitude")
+
+
 def test_engine_from_config():
     assert engine_from_config({}) is None
     eng = engine_from_config({"engine.kind": "monte_carlo", "engine.samples": "500"})

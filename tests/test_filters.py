@@ -106,6 +106,23 @@ def test_joint_moments_validation():
         JointMoments(**{**good, "s_ff": np.diag([1.0, -1.0])})
 
 
+def test_joint_moments_finite_screen_does_not_overflow():
+    # The entries of s_ff sum past the largest float, yet all are finite.
+    huge = dict(
+        mu_x=np.zeros(1),
+        mu_f=np.zeros(3),
+        s_xx=np.eye(1),
+        s_ff=np.diag([8e307] * 3),
+        s_xf=np.zeros((1, 3)),
+    )
+    assert JointMoments(**huge).s_ff[0, 0] == 8e307
+    for bad in (np.nan, np.inf, -np.inf):
+        s_ff = np.eye(3)
+        s_ff[2, 2] = bad
+        with pytest.raises(NumericsError):
+            JointMoments(**{**huge, "s_ff": s_ff})
+
+
 def test_joint_moments_copies_inputs():
     s_xx = np.eye(1)
     m = JointMoments(

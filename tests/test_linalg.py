@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from fgfilter import NumericsError
+from fgfilter import FgfPosteriorParams, GaussianBelief, JointMoments, NumericsError
 from fgfilter._linalg import (
     PSD_REL_TOL,
+    _psd_roots,
     ensure_psd,
     gaussian_log_pdf,
     gaussian_pdf,
@@ -35,8 +36,14 @@ def test_sqrt_psd_squares_back():
         assert_allclose(root @ root.T, a, atol=1e-12)
 
 
-def test_sqrt_psd_diagonal_fast_path():
-    assert_allclose(sqrt_psd(np.diag([4.0, 9.0, 0.0])), np.diag([2.0, 3.0, 0.0]))
+def test_sqrt_psd_of_a_diagonal_is_exact():
+    assert np.array_equal(sqrt_psd(np.diag([4.0, 9.0, 0.0])), np.diag([2.0, 3.0, 0.0]))
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 5):
+        for _ in range(20):
+            d = rng.exponential(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+            d[rng.uniform(size=n) < 0.2] = 0.0
+            assert np.array_equal(sqrt_psd(np.diag(d)), np.diag(np.sqrt(d)))
 
 
 def test_sqrt_psd_singular_input():
@@ -145,3 +152,56 @@ def test_gaussian_log_pdf_survives_underflow():
 
 def test_psd_rel_tol_is_small():
     assert 0.0 < PSD_REL_TOL <= 1e-8
+
+
+# A finite matrix whose entries sum past the largest float.
+HUGE = np.diag([8e307] * 3)
+
+
+def test_huge_finite_matrices_pass_the_finite_screen():
+    assert np.array_equal(sqrt_psd(HUGE), np.diag([np.sqrt(8e307)] * 3))
+    assert np.array_equal(ensure_psd(HUGE), HUGE)
+    assert_allclose(solve_psd(HUGE, np.full(3, 8e307)), np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_still_raise(bad):
+    a = np.eye(3)
+    a[1, 2] = a[2, 1] = bad
+    with pytest.raises(NumericsError):
+        sqrt_psd(a)
+    with pytest.raises(NumericsError):
+        ensure_psd(a)
+    with pytest.raises(NumericsError):
+        solve_psd(a, np.ones(3))
+
+
+def _screened_roots(mat):
+    if not _psd_roots(mat[None])[1][0]:
+        raise NumericsError("screened out")
+
+
+# Every consumer of the PSD screen, each fed one 2x2 matrix.
+PSD_SCREENED = {
+    "GaussianBelief": lambda m: GaussianBelief(np.zeros(2), m),
+    "JointMoments": lambda m: JointMoments(
+        mu_x=np.zeros(1), mu_f=np.zeros(2), s_xx=np.eye(1), s_ff=m, s_xf=np.zeros((1, 2))
+    ),
+    "FgfPosteriorParams": lambda m: FgfPosteriorParams(gamma=np.ones((2, 3)), sigma=m),
+    "sqrt_psd": sqrt_psd,
+    "_psd_roots": _screened_roots,
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(PSD_SCREENED))
+def test_psd_screen_is_shared(consumer):
+    # Eigenvalues (1, -0.5 * tol) are PSD up to roundoff, (1, -1.5 * tol)
+    # are not, for every consumer alike.
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((2, 2)))
+    inside, outside = (
+        symmetrize((q * np.array([1.0, -f * PSD_REL_TOL])) @ q.T) for f in (0.5, 1.5)
+    )
+    screen = PSD_SCREENED[consumer]
+    screen(inside)
+    with pytest.raises(NumericsError):
+        screen(outside)
