@@ -11,6 +11,8 @@ giving up; a matrix that fails the PSD screen is rejected, not repaired.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -31,7 +33,6 @@ __all__ = [
     "solve_psd",
     "ensure_psd",
     "gaussian_pdf",
-    "gaussian_log_pdf",
 ]
 
 
@@ -145,20 +146,21 @@ def ensure_psd(a: np.ndarray, *, scale: float | None = None) -> np.ndarray:
     ``scale`` sets the reference magnitude for the clipping tolerance
     (useful after subtractive updates, where the result can be much
     smaller than the operands); it defaults to the largest absolute
-    eigenvalue. Negative eigenvalues beyond the tolerance raise
-    :class:`NumericsError`.
+    eigenvalue. A non-finite matrix, or negative eigenvalues beyond the
+    tolerance, raise :class:`NumericsError`.
     """
     a = np.asarray(a, dtype=float)
     _require_square(a, "matrix")
-    if not _finite(a):
-        raise NumericsError("non-finite matrix cannot be made PSD")
     return _clip_psd(a, scale)
 
 
 def _clip_psd(a: np.ndarray, scale: float | None) -> np.ndarray:
-    # Kernel behind ensure_psd for a finite square float matrix.
+    # Kernel behind ensure_psd for a square float matrix. Non-finite
+    # input is reported as such, not as an indefinite matrix.
     if a.shape[0] == 1:
         v = a[0, 0]
+        if not math.isfinite(v):
+            raise NumericsError(f"non-finite variance {float(v)!r} cannot be made PSD")
         if v >= 0.0:
             return np.array([[v]])
         ref = abs(v) if scale is None else scale
@@ -166,6 +168,8 @@ def _clip_psd(a: np.ndarray, scale: float | None) -> np.ndarray:
             return np.array([[0.0]])
         raise NumericsError(f"variance {v!r} is negative beyond tolerance")
 
+    if not _finite(a):
+        raise NumericsError("non-finite matrix cannot be made PSD")
     mat = symmetrize(a)
     w, vec = np.linalg.eigh(mat)
     ref = max(abs(w[0]), abs(w[-1])) if scale is None else scale
@@ -207,10 +211,3 @@ def gaussian_pdf(x, mean=0.0, var=1.0):
     x = np.asarray(x, dtype=float)
     d = x - mean
     return np.exp(-0.5 * d * d / var) / np.sqrt(2.0 * np.pi * var)
-
-
-def gaussian_log_pdf(x, mean=0.0, var=1.0):
-    """Log of :func:`gaussian_pdf`, safe where the density underflows."""
-    x = np.asarray(x, dtype=float)
-    d = x - mean
-    return -0.5 * (d * d / var + np.log(2.0 * np.pi * var))

@@ -9,9 +9,10 @@ and grouped by prefix. Recognized keys:
     model.noise_scale   float (noise_magnitude only)
     model.step_height   float (heaviside only)
     engine.kind         monte_carlo | sigma_point
-    engine.samples      int (default 5000, quadrature.DEFAULT_SAMPLE_COUNT)
-    engine.seed         int
-    engine.kappa        float
+    engine.samples      int (monte_carlo only; default 5000,
+                        quadrature.DEFAULT_SAMPLE_COUNT)
+    engine.seed         int (monte_carlo only)
+    engine.kappa        float (sigma_point only)
     feature.order       int (monomial order)
     feature.standardize true | false
     run.steps           int
@@ -20,8 +21,9 @@ and grouped by prefix. Recognized keys:
     run.orders          comma-separated ints
     run.out             output directory
 
-Unknown keys, and model.* keys the selected model does not take, are
-rejected so typos fail loudly.
+Unknown keys, model.* keys the selected model does not take and
+engine.* keys the selected engine kind ignores are rejected, so typos
+fail loudly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .models import (
     make_heaviside_model,
     make_noise_magnitude_model,
 )
-from .quadrature import DEFAULT_SAMPLE_COUNT, ExpectationEngine
+from .quadrature import ExpectationEngine
 
 __all__ = [
     "KNOWN_KEYS",
@@ -71,6 +73,12 @@ _MODEL_PARAMS = {
     "heaviside": ("prior_mean", "prior_var", "step_height"),
 }
 MODEL_NAMES = tuple(_MODEL_PARAMS)
+
+# The engine.* keys each engine kind takes: key suffix -> (keyword, type).
+_ENGINE_PARAMS = {
+    "monte_carlo": {"samples": ("sample_count", int), "seed": ("seed", int)},
+    "sigma_point": {"kappa": ("kappa", float)},
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -128,20 +136,29 @@ def parse_orders(raw: str) -> tuple[int, ...]:
     return orders
 
 
-def _model_kwargs(cfg: dict[str, str], name: str) -> dict[str, float]:
-    # Factory keyword arguments from the model.* keys that are set; the
-    # factory's own defaults cover the rest.
-    if name not in _MODEL_PARAMS:
-        raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
+def _group_kwargs(cfg: dict[str, str], group: str, params: dict, what: str) -> dict:
+    # Keyword arguments from the group.* keys that are set, other than
+    # the selector (model.name or engine.kind). ``params`` maps a key's
+    # suffix to (keyword, type); a key missing there does not apply to
+    # ``what``. Defaults cover the keys left unset.
     kwargs = {}
     for key in cfg:
-        if not key.startswith("model.") or key == "model.name":
+        prefix, _, suffix = key.partition(".")
+        if prefix != group or suffix in ("name", "kind"):
             continue
-        param = key[len("model.") :]
-        if param not in _MODEL_PARAMS[name]:
-            raise ValueError(f"config key {key!r} does not apply to model {name!r}")
-        kwargs[param] = _get(cfg, key, float, None)
+        if suffix not in params:
+            raise ValueError(f"config key {key!r} does not apply to {what}")
+        keyword, cast = params[suffix]
+        kwargs[keyword] = _get(cfg, key, cast, None)
     return kwargs
+
+
+def _model_kwargs(cfg: dict[str, str], name: str) -> dict[str, float]:
+    # Factory keyword arguments from the model.* keys that are set.
+    if name not in _MODEL_PARAMS:
+        raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
+    params = {p: (p, float) for p in _MODEL_PARAMS[name]}
+    return _group_kwargs(cfg, "model", params, f"model {name!r}")
 
 
 def model_from_config(
@@ -162,10 +179,8 @@ def engine_from_config(cfg: dict[str, str]) -> ExpectationEngine | None:
     if not any(key.startswith("engine.") for key in cfg):
         return None
     kind = cfg.get("engine.kind", "monte_carlo")
-    return ExpectationEngine(
-        kind=kind,
-        sample_count=_get(cfg, "engine.samples", int, DEFAULT_SAMPLE_COUNT),
-        kappa=_get(cfg, "engine.kappa", float, 0.0),
-        seed=_get(cfg, "engine.seed", int, 0),
-    )
+    if kind not in _ENGINE_PARAMS:
+        raise ValueError(f"config key 'engine.kind' has invalid value {kind!r}")
+    kwargs = _group_kwargs(cfg, "engine", _ENGINE_PARAMS[kind], f"engine kind {kind!r}")
+    return ExpectationEngine(kind, **kwargs)
 

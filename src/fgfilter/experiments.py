@@ -155,20 +155,18 @@ def run_noise_experiment(
     seed: int = 0,
     engine: ExpectationEngine | None = None,
     orders: Sequence[int] = (2,),
-    prior_mean: float = 5.0,
-    prior_var: float = 1.0,
-    noise_scale: float = 0.1,
     standardize: bool = False,
+    **model_kwargs: float,
 ) -> ExperimentReport:
     """Track the drifting noise magnitude.
 
     The measurement is zero-mean however large the state, so the affine
     run learns nothing and its RMSE is essentially the prior spread;
     the quadratic feature reads the state off the measurement energy.
+    Model keyword arguments (``prior_mean``, ``prior_var``,
+    ``noise_scale``) go to :func:`make_noise_magnitude_model`.
     """
-    model, prior = make_noise_magnitude_model(
-        prior_mean=prior_mean, prior_var=prior_var, noise_scale=noise_scale
-    )
+    model, prior = make_noise_magnitude_model(**model_kwargs)
     return _run_tracking(model, prior, steps, seed, engine, orders, standardize)
 
 
@@ -177,10 +175,8 @@ def run_heaviside_experiment(
     seed: int = 0,
     engine: ExpectationEngine | None = None,
     orders: Sequence[int] = (3,),
-    prior_mean: float = 0.0,
-    prior_var: float = 5.0,
-    step_height: float = 50.0,
     standardize: bool = True,
+    **model_kwargs: float,
 ) -> ExperimentReport:
     """Track a random walk observed through a hard step.
 
@@ -188,11 +184,10 @@ def run_heaviside_experiment(
     the step the measurement fell on; far away both filters behave like
     the linear optimum. Feature standardization is on by default: raw
     cubic Grams of measurements around 50 are pathologically
-    ill-conditioned.
+    ill-conditioned. Model keyword arguments (``prior_mean``,
+    ``prior_var``, ``step_height``) go to :func:`make_heaviside_model`.
     """
-    model, prior = make_heaviside_model(
-        prior_mean=prior_mean, prior_var=prior_var, step_height=step_height
-    )
+    model, prior = make_heaviside_model(**model_kwargs)
     return _run_tracking(model, prior, steps, seed, engine, orders, standardize)
 
 

@@ -27,7 +27,7 @@ the stage functions (:func:`predict`, :func:`joint_moments`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -45,7 +45,7 @@ from ._linalg import (
     solve_psd,
 )
 from .models import GaussianBelief, StateSpaceModel
-from .quadrature import ExpectationEngine, _unit_points
+from .quadrature import ExpectationEngine, PointSet, _place, _unit_points
 
 __all__ = [
     "FeatureFunction",
@@ -256,9 +256,9 @@ def _evaluate_feature(feature: FeatureFunction, ys: np.ndarray) -> np.ndarray:
 
 
 # The kernels below work on stacks of lanes: one lane per belief, all
-# lanes sharing the model and the engine's point set. Point sets are
-# component-major, shape (lanes, dim, n_points), so every moment is a
-# row reduction or one small matrix product.
+# lanes sharing the model and the engine's point set. Placed points are
+# component-major, shape (lanes, dim, n_points), so every moment is one
+# weighted row reduction or one small matrix product.
 
 
 def _map_points(fn, states, noises, out_dim, what):
@@ -272,38 +272,21 @@ def _map_points(fn, states, noises, out_dim, what):
     return out.reshape(states.shape[0], -1, out_dim).swapaxes(1, 2)
 
 
-def _place(offsets, means, roots):
-    # States mean + root @ offsets of each lane, shape (lanes, d, n). For
-    # scalar states a broadcast product is cheaper than matmul.
-    if roots.shape[-1] == 1:
-        states = roots * offsets
-    else:
-        states = roots @ offsets
-    states += means[:, :, None]
-    return states
-
-
-def _moments(z, weights, uniform):
-    # Mean and symmetrized central covariance over the last axis.
-    if uniform:
-        n = z.shape[-1]
-        mu = z.sum(axis=-1) / n
-        zc = z - mu[..., None]
-        cov = np.einsum("...in,...jn->...ij", zc, zc) / n
-    else:
-        mu = z @ weights
-        zc = z - mu[..., None]
-        cov = (zc * weights) @ zc.swapaxes(-1, -2)
+def _moments(z, weights):
+    # Weighted mean and symmetrized central covariance over the last axis.
+    mu = z @ weights
+    zc = z - mu[..., None]
+    cov = (zc * weights) @ zc.swapaxes(-1, -2)
     return mu, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
-def _predicted(model, points, means, covs):
-    # Moment-matched prediction of a stack of beliefs. Their covariances
-    # are PSD already (validated prior, clipped posteriors).
-    offsets, noises, weights, uniform = points
-    states = _place(offsets, means, _psd_roots(covs)[0])
-    prop = _map_points(model.process, states, noises, model.state_dim, "process map")
-    return _moments(prop, weights, uniform)
+def _predicted(model, points: PointSet, means, covs):
+    # Moment-matched prediction of a stack of beliefs, with the process
+    # noises of ``points`` stacked once per lane. The covariances are PSD
+    # already (validated prior, clipped posteriors).
+    states = _place(points, means, _psd_roots(covs)[0])
+    prop = _map_points(model.process, states, points.noises, model.state_dim, "process map")
+    return _moments(prop, points.weights)
 
 
 def _stack(states, phis):
@@ -318,12 +301,10 @@ def _stack(states, phis):
     return z
 
 
-def _raw_moments(z, weights, uniform):
-    # Raw second moments E[z z^T] over the last axis. The fit needs
-    # exactly these, so they are accumulated directly, not rebuilt from
-    # central moments.
-    if uniform:
-        return np.einsum("in,jn->ij", z, z) / z.shape[-1]
+def _raw_moments(z, weights):
+    # Weighted raw second moments E[z z^T] over the last axis. The fit
+    # needs exactly these, so they are accumulated directly, not rebuilt
+    # from central moments.
     return (z * weights) @ z.T
 
 
@@ -345,10 +326,10 @@ def _fit(e_xx, e_xf, e_ff):
     return gamma, _clip_psd(resid, scale)
 
 
-def _input_spread(ys, weights, uniform):
+def _input_spread(ys, weights):
     # Predicted measurement mean and spread per lane, ys (lanes, dy, n),
     # used to standardize feature inputs.
-    mu, cov = _moments(ys, weights, uniform)
+    mu, cov = _moments(ys, weights)
     var = np.diagonal(cov, axis1=-2, axis2=-1)
     floor = 1e-12 * (1.0 + np.abs(mu))
     return mu, np.sqrt(np.maximum(var, floor**2))
@@ -381,14 +362,11 @@ def joint_moments(
     evaluate the feature on the measurements, and accumulate means and
     central (co)variances.
     """
-    offsets, noises, weights, uniform = _unit_points(
-        engine, belief.state_dim, model.obs_noise_dim
-    )
-    roots = _psd_roots(belief.cov[None])[0]
-    states = _place(offsets, belief.mean[None], roots)
-    ys = _map_points(model.observe, states, noises, model.meas_dim, "observation map")
+    points = _unit_points(engine, belief.state_dim, model.obs_noise_dim)
+    states = _place(points, belief.mean[None], _psd_roots(belief.cov[None])[0])
+    ys = _map_points(model.observe, states, points.noises, model.meas_dim, "observation map")
     phis = _evaluate_feature(feature, ys[0].T)
-    mu, cov = _moments(_stack(states[0], phis), weights, uniform)
+    mu, cov = _moments(_stack(states[0], phis), points.weights)
     dx = belief.state_dim
     return JointMoments(
         mu_x=mu[:dx],
@@ -557,10 +535,8 @@ def _filter_pass(model, prior, features, engine, ys, standardize):
     rescale = [standardize and f.out_dim > dy + 1 for f in features]
     # Lanes with raw feature inputs map every observation at once.
     phi_obs = [None if r else _feature_values(f, ys) for f, r in zip(features, rescale)]
-    proc_offsets, proc_noises, proc_weights, proc_uniform = _unit_points(
-        engine, dx, model.process_noise_dim
-    )
-    offsets, noises, weights, uniform = _unit_points(engine, dx, model.obs_noise_dim)
+    proc_points = _unit_points(engine, dx, model.process_noise_dim)
+    points = _unit_points(engine, dx, model.obs_noise_dim)
     live = list(range(len(features)))
     mean = np.repeat(prior.mean[None], len(live), axis=0)
     cov = np.repeat(prior.cov[None], len(live), axis=0)
@@ -569,19 +545,19 @@ def _filter_pass(model, prior, features, engine, ys, standardize):
         if len(live) != tiled:
             # Every lane sees the same noise draws.
             tiled = len(live)
-            proc = (proc_offsets, np.tile(proc_noises, (tiled, 1)), proc_weights, proc_uniform)
-            obs_noises = np.tile(noises, (tiled, 1))
+            proc = replace(proc_points, noises=np.tile(proc_points.noises, (tiled, 1)))
+            obs_noises = np.tile(points.noises, (tiled, 1))
         failed: list[object | None] = [None] * tiled
         try:
             pmean, pcov = _predicted(model, proc, mean, cov)
             roots, psd = _psd_roots(pcov)
-            states = _place(offsets, pmean, roots)
+            states = _place(points, pmean, roots)
             obs = _map_points(model.observe, states, obs_noises, dy, "observation map")
         except NumericsError as err:
             failed = [err] * tiled
         else:
             if any(rescale):
-                shifts, scales = _input_spread(obs, weights, uniform)
+                shifts, scales = _input_spread(obs, points.weights)
             for j, lane in enumerate(live):
                 if not psd[j]:
                     failed[j] = "predicted covariance is non-finite or indefinite"
@@ -596,7 +572,7 @@ def _filter_pass(model, prior, features, engine, ys, standardize):
                     else:
                         phis = evaluate(obs[j].T)
                         phi = phi_obs[lane][t]
-                    raw = _raw_moments(_stack(states[j], phis), weights, uniform)
+                    raw = _raw_moments(_stack(states[j], phis), points.weights)
                     gamma, sigma = _fit(raw[:dx, :dx], raw[:dx, dx:], raw[dx:, dx:])
                 except NumericsError as err:
                     failed[j] = err

@@ -7,15 +7,18 @@ Everything the filters need reduces to expectations of the form
 with x and u independent. An :class:`ExpectationEngine` realizes such
 an expectation as a weighted point set over the augmented (x, u) space;
 two families are provided, plain Monte Carlo and augmented-state sigma
-points. Engines are pure values: the same engine applied to the same
-belief always produces the same point set, so every estimate is
-reproducible from the engine configuration alone.
+points. Whatever the family, the point set is one value, a
+:class:`PointSet` of unit offsets, noises and explicit weights, built by
+one small builder per engine kind; a belief places the offsets with
+:func:`_place`, and every expectation is a weighted sum over the points.
+Engines are pure values: the same engine applied to the same belief
+always produces the same point set, so every estimate is reproducible
+from the engine configuration alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +34,6 @@ __all__ = [
     "expected_likelihood_weight",
 ]
 
-ENGINE_KINDS = ("monte_carlo", "sigma_point")
-
 # The one default Monte Carlo draw count, for engines built in code, from
 # a config file, or by the experiments. 5000 draws is the smallest count
 # at which every built-in experiment seed tracks cleanly: at 4000 one
@@ -40,10 +41,6 @@ ENGINE_KINDS = ("monte_carlo", "sigma_point")
 # by 3000 the posterior spread detaches from the actual error on the
 # noise model.
 DEFAULT_SAMPLE_COUNT = 5000
-
-# Draw tables at or below this many entries are cached and shared
-# (read-only); larger ones are regenerated per call to bound memory.
-_TABLE_CACHE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,9 @@ class ExpectationEngine:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ENGINE_KINDS:
+        if self.kind not in _POINT_BUILDERS:
             raise ValueError(
-                f"engine kind must be one of {ENGINE_KINDS}, got {self.kind!r}"
+                f"engine kind must be one of {tuple(_POINT_BUILDERS)}, got {self.kind!r}"
             )
         if self.kind == "monte_carlo" and self.sample_count < 2:
             raise ValueError(
@@ -95,51 +92,37 @@ def sigma_point(kappa: float = 0.0) -> ExpectationEngine:
     return ExpectationEngine("sigma_point", kappa=kappa)
 
 
-@lru_cache(maxsize=8)
-def _cached_table(seed: int, n: int, dim: int) -> np.ndarray:
-    # Cached tables are stored contiguous per coordinate row.
-    table = np.ascontiguousarray(_draw_table(seed, n, dim))
-    table.setflags(write=False)
-    return table
+@dataclass(frozen=True)
+class PointSet:
+    """An engine's weighted point set for a standard-normal state.
 
-
-def _draw_table(seed: int, n: int, dim: int) -> np.ndarray:
-    # The (n, dim) draw stream seen component-major, shape (dim, n).
-    return np.random.default_rng(seed).standard_normal((n, dim)).T
-
-
-@lru_cache(maxsize=8)
-def _uniform_weights(n: int) -> np.ndarray:
-    weights = np.full(n, 1.0 / n)
-    weights.setflags(write=False)
-    return weights
-
-
-def _unit_points(
-    engine: ExpectationEngine,
-    state_dim: int,
-    noise_dim: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The engine's point set for a standard-normal state.
-
-    Returns ``offsets`` of shape (state_dim, n_points), component-major,
-    which a belief maps to states ``mean + root @ offsets`` with ``root``
-    the symmetric square root of its covariance; ``noises`` of shape
-    (n_points, noise_dim); the weights; and whether they are uniform.
+    ``offsets`` has shape (state_dim, n_points), component-major; a
+    belief places them at ``mean + root @ offsets`` (:func:`_place`),
+    with ``root`` the symmetric square root of its covariance.
+    ``noises`` has shape (n_points, noise_dim) and ``weights`` shape
+    (n_points,), summing to 1. All three are read-only.
     """
-    if not isinstance(noise_dim, (int, np.integer)) or noise_dim < 0:
-        raise ValueError(f"noise_dim must be a nonnegative integer, got {noise_dim!r}")
-    dx = state_dim
 
-    if engine.kind == "monte_carlo":
-        n = engine.sample_count
-        dim = dx + noise_dim
-        if n * dim <= _TABLE_CACHE_LIMIT:
-            table = _cached_table(engine.seed, n, dim)
-        else:
-            table = _draw_table(engine.seed, n, dim)
-        return table[:dx], table[dx:].T, _uniform_weights(n), True
+    offsets: np.ndarray
+    noises: np.ndarray
+    weights: np.ndarray
 
+    def __post_init__(self):
+        for arr in (self.offsets, self.noises, self.weights):
+            arr.setflags(write=False)
+
+
+def _monte_carlo_points(engine: ExpectationEngine, dx: int, noise_dim: int) -> PointSet:
+    # The (n, dim) draw stream seen component-major, one contiguous row
+    # per coordinate; every weight is 1/n.
+    n = engine.sample_count
+    draws = np.random.default_rng(engine.seed).standard_normal((n, dx + noise_dim))
+    table = np.ascontiguousarray(draws.T)
+    return PointSet(table[:dx], table[dx:].T, np.full(n, 1.0 / n))
+
+
+def _sigma_points(engine: ExpectationEngine, dx: int, noise_dim: int) -> PointSet:
+    # Center first, then the +/- state columns, then the +/- noise axes.
     d = dx + noise_dim
     if d + engine.kappa <= 0.0:
         raise ValueError(
@@ -156,7 +139,30 @@ def _unit_points(
         np.fill_diagonal(noises[1 + 2 * dx + noise_dim :], -scale)
     weights = np.full(n, 0.5 / (d + engine.kappa))
     weights[0] = engine.kappa / (d + engine.kappa)
-    return offsets, noises, weights, False
+    return PointSet(offsets, noises, weights)
+
+
+# The point-set builder of each engine kind.
+_POINT_BUILDERS = {"monte_carlo": _monte_carlo_points, "sigma_point": _sigma_points}
+
+
+def _unit_points(engine: ExpectationEngine, state_dim: int, noise_dim: int) -> PointSet:
+    """The engine's point set for a standard-normal state and noise."""
+    if not isinstance(noise_dim, (int, np.integer)) or noise_dim < 0:
+        raise ValueError(f"noise_dim must be a nonnegative integer, got {noise_dim!r}")
+    return _POINT_BUILDERS[engine.kind](engine, state_dim, noise_dim)
+
+
+def _place(points: PointSet, means: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    # States mean + root @ offsets of each lane, shape (lanes, d, n), for
+    # means (lanes, d) and roots (lanes, d, d). For scalar states a
+    # broadcast product is cheaper than matmul.
+    if roots.shape[-1] == 1:
+        states = roots * points.offsets
+    else:
+        states = roots @ points.offsets
+    states += means[:, :, None]
+    return states
 
 
 def sample_points(
@@ -171,14 +177,14 @@ def sample_points(
     states : ndarray, shape (n_points, state_dim)
     noises : ndarray, shape (n_points, noise_dim)
     weights : ndarray, shape (n_points,)
-        Weights summing to 1. Monte Carlo weights are uniform (and
-        shared read-only between calls). Sigma points come ordered
+        Weights summing to 1; ``noises`` and ``weights`` are read-only.
+        Monte Carlo weights all equal 1/n_points. Sigma points come ordered
         center first, then the +/- state columns, then the +/- noise
         axes; with kappa = 0 the center weight is 0.
     """
-    offsets, noises, weights, _ = _unit_points(engine, belief.state_dim, noise_dim)
-    states = belief.mean + offsets.T @ sqrt_psd(belief.cov).T
-    return states, noises, weights
+    points = _unit_points(engine, belief.state_dim, noise_dim)
+    states = _place(points, belief.mean[None], sqrt_psd(belief.cov)[None])[0].T
+    return states, points.noises, points.weights
 
 
 def expect(engine, belief, noise_dim, f) -> np.ndarray:

@@ -11,6 +11,13 @@ from fgfilter import JointMoments, StateSpaceModel
 from fgfilter._linalg import gaussian_pdf
 
 
+def gaussian_log_pdf(x, mean=0.0, var=1.0):
+    """Log of the univariate normal density, safe where the density underflows."""
+    x = np.asarray(x, dtype=float)
+    d = x - mean
+    return -0.5 * (d * d / var + np.log(2.0 * np.pi * var))
+
+
 def random_spd(rng, n, scale=1.0):
     """Random symmetric positive definite matrix, eigenvalues in [0.1, 0.1 + scale]."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

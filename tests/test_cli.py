@@ -266,6 +266,10 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         ("simulate", "run.orders = 1,abc"),
         ("simulate", "feature.standardize = maybe"),
         ("density", "feature.order = abc"),
+        # engine keys that the selected kind ignores
+        ("simulate", "engine.samples = 500\nengine.kind = sigma_point"),
+        ("simulate", "engine.seed = 3\nengine.kind = sigma_point"),
+        ("simulate", "engine.kappa = 1\nengine.kind = monte_carlo"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):

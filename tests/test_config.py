@@ -95,6 +95,16 @@ def test_engine_from_config():
     assert eng.kind == "sigma_point" and eng.kappa == 1.5
     with pytest.raises(ValueError):
         engine_from_config({"engine.kind": "quasi_random"})
+    # Keys that the selected kind would ignore are rejected, naming both.
+    for kind, key in [
+        ("sigma_point", "engine.samples"),
+        ("sigma_point", "engine.seed"),
+        ("monte_carlo", "engine.kappa"),
+    ]:
+        with pytest.raises(ValueError, match=f"'{key}'.*'{kind}'"):
+            engine_from_config({"engine.kind": kind, key: "3"})
+    with pytest.raises(ValueError, match="'engine.kappa'.*'monte_carlo'"):
+        engine_from_config({"engine.kappa": "1.5"})
 
 
 def test_engine_draw_default_is_shared():

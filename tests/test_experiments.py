@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgfilter import (
+    make_heaviside_model,
     monte_carlo,
     run_experiment_batch,
     run_heaviside_experiment,
@@ -17,7 +18,7 @@ from fgfilter import (
     write_report_csv,
     write_summary_csv,
 )
-from fgfilter.experiments import REPORT_COLUMNS, SUMMARY_COLUMNS
+from fgfilter.experiments import REPORT_COLUMNS, SUMMARY_COLUMNS, _run_tracking
 
 
 def test_report_shapes_and_rmse():
@@ -75,6 +76,23 @@ def test_heaviside_experiment_defaults():
     assert rep.model_name == "heaviside"
     assert rep.orders == (1, 3)
     assert all(np.isfinite(rep.rmse[o]) for o in rep.orders)
+
+
+def test_model_keywords_go_to_the_factory():
+    rep = run_heaviside_experiment(steps=5, seed=0, step_height=7.0)
+    model, prior = make_heaviside_model(step_height=7.0)
+    ref = _run_tracking(model, prior, 5, 0, None, (3,), True)
+    assert np.array_equal(rep.measurements, ref.measurements)
+    for order in rep.orders:
+        assert np.array_equal(rep.means[order], ref.means[order])
+        assert np.array_equal(rep.stds[order], ref.stds[order])
+    default = run_heaviside_experiment(steps=5, seed=0)
+    assert not np.array_equal(rep.measurements, default.measurements)
+    # A keyword the factory does not take is an error, not ignored.
+    with pytest.raises(TypeError):
+        run_noise_experiment(steps=5, step_height=7.0)
+    with pytest.raises(TypeError):
+        run_heaviside_experiment(steps=5, noise_scale=0.2)
 
 
 def test_experiment_validation():

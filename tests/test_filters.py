@@ -399,6 +399,22 @@ def test_failing_lane_is_contained():
     assert exc.value.step == bad_step
 
 
+@pytest.mark.parametrize("dx", [1, 2])
+def test_non_finite_fit_is_reported_as_non_finite(dx):
+    # Near 1e160 the raw second moment E[x^2] overflows while the
+    # standardized feature moments stay finite, so the fit's residual
+    # covariance turns NaN at the first step.
+    model = linear_ssm(random_linear_system(np.random.default_rng(dx), dx, 1))
+    prior = GaussianBelief(np.full(dx, 1e160), np.eye(dx))
+    lanes = run_filter_lanes(
+        model, prior, [make_monomial_feature(1, 2)], sigma_point(), np.zeros((3, 1)),
+        standardize=True,
+    )
+    assert lanes.diverged_at == (0,)
+    message = str(lanes.errors[0])
+    assert "non-finite" in message and "cannot be made PSD" in message
+
+
 def test_lanes_share_one_model_pass_per_step():
     # With standardization on, one step calls the process map once and
     # the observation map once for all lanes together: the prediction,

@@ -38,9 +38,9 @@ from fgfilter import (
     make_noise_magnitude_model,
 )
 from fgfilter import gridoracle
-from fgfilter._linalg import gaussian_log_pdf, gaussian_pdf, symmetrize
+from fgfilter._linalg import gaussian_pdf, symmetrize
 from fgfilter.filters import JointMoments
-from helpers import linear_ssm
+from helpers import gaussian_log_pdf, linear_ssm
 
 
 def _scalar_linear():

@@ -8,15 +8,15 @@ from scipy import stats
 from fgfilter import FgfPosteriorParams, GaussianBelief, JointMoments, NumericsError
 from fgfilter._linalg import (
     PSD_REL_TOL,
+    _clip_psd,
     _psd_roots,
     ensure_psd,
-    gaussian_log_pdf,
     gaussian_pdf,
     solve_psd,
     sqrt_psd,
     symmetrize,
 )
-from helpers import random_spd
+from helpers import gaussian_log_pdf, random_spd
 
 
 def test_symmetrize():
@@ -134,6 +134,19 @@ def test_ensure_psd_scalar_paths():
     assert ensure_psd(np.array([[-1e-15]]), scale=1.0)[0, 0] == 0.0
     with pytest.raises(NumericsError):
         ensure_psd(np.array([[-0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_psd_reports_non_finite_input(bad):
+    # The filter's fit calls the clip kernel directly: a NaN variance is
+    # not "negative", and a 2x2 matrix holding NaN or inf does not come
+    # back as a NaN matrix.
+    for mat in (np.array([[bad]]), np.array([[1.0, bad], [bad, 2.0]])):
+        for scale in (None, 1.0):
+            with pytest.raises(NumericsError, match="non-finite"):
+                _clip_psd(mat, scale)
+        with pytest.raises(NumericsError, match="non-finite"):
+            ensure_psd(mat)
 
 
 def test_gaussian_pdf_matches_scipy():

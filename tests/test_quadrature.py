@@ -2,8 +2,10 @@
 
 Sigma points must be exact on polynomials of total degree two and
 deterministic; Monte Carlo must be reproducible from the seed with the
-familiar 1/sqrt(n) error decay. The expected-likelihood-weight helper
-is checked against its closed form.
+familiar 1/sqrt(n) error decay. Every engine's point set carries
+explicit weights, and the filter's weighted moment kernels reproduce the
+plain Monte Carlo averages. The expected-likelihood-weight helper is
+checked against its closed form.
 """
 
 import numpy as np
@@ -20,6 +22,9 @@ from fgfilter import (
     sample_points,
     sigma_point,
 )
+from fgfilter._linalg import _psd_roots
+from fgfilter.filters import _moments, _raw_moments
+from fgfilter.quadrature import _place, _unit_points
 from helpers import random_spd
 
 
@@ -109,11 +114,59 @@ def test_monte_carlo_reproducible():
     assert not np.array_equal(s1, s3)
 
 
-def test_monte_carlo_tables_are_shared_read_only():
+def test_point_sets_have_explicit_read_only_weights():
+    for engine in (monte_carlo(sample_count=128, seed=0), sigma_point(), sigma_point(2.0)):
+        for dx, noise_dim in ((1, 0), (1, 1), (2, 1), (3, 2)):
+            points = _unit_points(engine, dx, noise_dim)
+            n = points.weights.shape[0]
+            assert points.offsets.shape == (dx, n)
+            assert points.noises.shape == (n, noise_dim)
+            assert_allclose(points.weights.sum(), 1.0, rtol=1e-14)
+            for arr in (points.offsets, points.noises, points.weights):
+                assert not arr.flags.writeable
+            if engine.kind == "monte_carlo":
+                assert np.array_equal(points.weights, np.full(128, 1.0 / 128))
     belief = GaussianBelief(np.zeros(1), np.eye(1))
     _, noises, weights = sample_points(monte_carlo(sample_count=128, seed=0), belief, 1)
     assert not noises.flags.writeable
     assert not weights.flags.writeable
+
+
+@pytest.mark.parametrize("engine", [monte_carlo(sample_count=256, seed=3), sigma_point(1.0)])
+def test_sample_points_place_states_like_the_filter(engine):
+    # sample_points and the filter map offsets onto a belief with the
+    # same kernel and the same root, so the states agree bit for bit.
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        belief = GaussianBelief(rng.standard_normal(d), random_spd(rng, d))
+        states, _, _ = sample_points(engine, belief, 1)
+        roots = _psd_roots(belief.cov[None])[0]
+        placed = _place(_unit_points(engine, d, 1), belief.mean[None], roots)
+        assert np.array_equal(states, placed[0].T)
+
+
+def test_weighted_moments_match_plain_monte_carlo_averages():
+    # The reference formulas are the unweighted Monte Carlo averages
+    # (sum / n and einsum / n) that the weighted kernels replace.
+    rng = np.random.default_rng(4)
+    points = _unit_points(monte_carlo(sample_count=5000, seed=4), 3, 2)
+    n = points.weights.shape[0]
+    means = rng.standard_normal((2, 3))
+    roots = _psd_roots(np.stack([random_spd(rng, 3) for _ in range(2)]))[0]
+    states = _place(points, means, roots)
+    z = np.concatenate([states, np.broadcast_to(points.noises.T, (2, 2, n)) ** 2], axis=1)
+
+    def close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    for lane in z:
+        close(_raw_moments(lane, points.weights), np.einsum("in,jn->ij", lane, lane) / n)
+    mu, cov = _moments(z, points.weights)
+    ref_mu = z.sum(axis=-1) / n
+    zc = z - ref_mu[..., None]
+    ref_cov = np.einsum("...in,...jn->...ij", zc, zc) / n
+    close(mu, ref_mu)
+    close(cov, 0.5 * (ref_cov + ref_cov.swapaxes(-1, -2)))
 
 
 def test_monte_carlo_error_decay():
