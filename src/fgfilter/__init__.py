@@ -39,6 +39,7 @@ from .gridoracle import (
     kl_conditional,
 )
 from .models import (
+    AffineProcess,
     GaussianBelief,
     StateSpaceModel,
     make_heaviside_model,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NumericsError",
+    "AffineProcess",
     "StateSpaceModel",
     "GaussianBelief",
     "make_noise_magnitude_model",

@@ -72,7 +72,9 @@ def _require_psd(mat: np.ndarray, what: str) -> None:
     # its symmetric part is screened.
     w = np.linalg.eigvalsh(symmetrize(mat))
     if not _psd_ok(w):
-        raise NumericsError(f"{what} has eigenvalue {w[0]!r}, negative beyond tolerance")
+        raise NumericsError(
+            f"{what} has eigenvalue {float(w[0])!r}, negative beyond tolerance"
+        )
 
 
 def _require_square(a: np.ndarray, what: str) -> None:
@@ -166,7 +168,7 @@ def _clip_psd(a: np.ndarray, scale: float | None) -> np.ndarray:
         ref = abs(v) if scale is None else scale
         if v >= -PSD_REL_TOL * max(ref, _TINY):
             return np.array([[0.0]])
-        raise NumericsError(f"variance {v!r} is negative beyond tolerance")
+        raise NumericsError(f"variance {float(v)!r} is negative beyond tolerance")
 
     if not _finite(a):
         raise NumericsError("non-finite matrix cannot be made PSD")
@@ -175,7 +177,7 @@ def _clip_psd(a: np.ndarray, scale: float | None) -> np.ndarray:
     ref = max(abs(w[0]), abs(w[-1])) if scale is None else scale
     if w[0] < -PSD_REL_TOL * max(ref, _TINY):
         raise NumericsError(
-            f"matrix has eigenvalue {w[0]!r}, negative beyond tolerance"
+            f"matrix has eigenvalue {float(w[0])!r}, negative beyond tolerance"
         )
     if w[0] >= 0.0:
         return mat

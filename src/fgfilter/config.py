@@ -5,7 +5,7 @@ and grouped by prefix. Recognized keys:
 
     model.name          noise_magnitude | heaviside
     model.prior_mean    float
-    model.prior_var     float
+    model.prior_var     float, nonnegative
     model.noise_scale   float (noise_magnitude only)
     model.step_height   float (heaviside only)
     engine.kind         monte_carlo | sigma_point
@@ -23,14 +23,17 @@ and grouped by prefix. Recognized keys:
 
 Unknown keys, model.* keys the selected model does not take and
 engine.* keys the selected engine kind ignores are rejected, so typos
-fail loudly.
+fail loudly. Every model.* value must be finite.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .models import (
     GaussianBelief,
     StateSpaceModel,
+    _model_param,
     make_heaviside_model,
     make_noise_magnitude_model,
 )
@@ -157,7 +160,7 @@ def _model_kwargs(cfg: dict[str, str], name: str) -> dict[str, float]:
     # Factory keyword arguments from the model.* keys that are set.
     if name not in _MODEL_PARAMS:
         raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
-    params = {p: (p, float) for p in _MODEL_PARAMS[name]}
+    params = {p: (p, partial(_model_param, p)) for p in _MODEL_PARAMS[name]}
     return _group_kwargs(cfg, "model", params, f"model {name!r}")
 
 

@@ -280,10 +280,24 @@ def _moments(z, weights):
     return mu, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
-def _predicted(model, points: PointSet, means, covs):
-    # Moment-matched prediction of a stack of beliefs, with the process
-    # noises of ``points`` stacked once per lane. The covariances are PSD
-    # already (validated prior, clipped posteriors).
+def _process_points(model, engine):
+    # The engine's point set for the prediction, or None for a declared
+    # affine process, which is predicted without points.
+    if model.affine_process is not None:
+        return None
+    return _unit_points(engine, model.state_dim, model.process_noise_dim)
+
+
+def _predicted(model, points: PointSet | None, means, covs):
+    # Moment-matched prediction of a stack of beliefs. A declared affine
+    # process is matched exactly: F m + b and F P F^T + Q, symmetric up
+    # to roundoff, which every consumer symmetrizes away. Otherwise the
+    # process noises of ``points`` are stacked once per lane. The
+    # covariances are PSD already (validated prior, clipped posteriors).
+    affine = model.affine_process
+    if affine is not None:
+        f = affine.transition
+        return means @ f.T + affine.offset, f @ covs @ f.T + affine.noise_cov
     states = _place(points, means, _psd_roots(covs)[0])
     prop = _map_points(model.process, states, points.noises, model.state_dim, "process map")
     return _moments(prop, points.weights)
@@ -342,10 +356,13 @@ def predict(
 ) -> GaussianBelief:
     """Moment-matched one-step prediction through the process map.
 
-    Pushes the engine's point set through ``model.process`` and returns
-    the Gaussian with the matched mean and covariance.
+    For a model that declares an affine process (``model.affine_process``)
+    the match is exact and in closed form, F m + b and F P F^T + G G^T,
+    and ``engine`` is not used. Otherwise pushes the engine's point set
+    through ``model.process`` and returns the Gaussian with the matched
+    mean and covariance.
     """
-    points = _unit_points(engine, belief.state_dim, model.process_noise_dim)
+    points = _process_points(model, engine)
     mean, cov = _predicted(model, points, belief.mean[None], belief.cov[None])
     return GaussianBelief(mean[0], cov[0])
 
@@ -493,9 +510,10 @@ def run_filter_lanes(
     recursion of :func:`run_filter` with its own feature. Per step, the
     lanes share one ``model.process`` and one ``model.observe``
     evaluation over their stacked point sets, and the standardization
-    shift and scale come from the same observed points. A lane that
-    breaks down numerically records its error and stops; the other
-    lanes go on unchanged.
+    shift and scale come from the same observed points. A model that
+    declares an affine process is predicted in closed form, with no
+    ``model.process`` call at all. A lane that breaks down numerically
+    records its error and stops; the other lanes go on unchanged.
 
     Parameters are those of :func:`run_filter`, with ``features`` a
     sequence of feature maps, one per lane.
@@ -535,7 +553,7 @@ def _filter_pass(model, prior, features, engine, ys, standardize):
     rescale = [standardize and f.out_dim > dy + 1 for f in features]
     # Lanes with raw feature inputs map every observation at once.
     phi_obs = [None if r else _feature_values(f, ys) for f, r in zip(features, rescale)]
-    proc_points = _unit_points(engine, dx, model.process_noise_dim)
+    proc_points = proc = _process_points(model, engine)
     points = _unit_points(engine, dx, model.obs_noise_dim)
     live = list(range(len(features)))
     mean = np.repeat(prior.mean[None], len(live), axis=0)
@@ -545,7 +563,8 @@ def _filter_pass(model, prior, features, engine, ys, standardize):
         if len(live) != tiled:
             # Every lane sees the same noise draws.
             tiled = len(live)
-            proc = replace(proc_points, noises=np.tile(proc_points.noises, (tiled, 1)))
+            if proc_points is not None:
+                proc = replace(proc_points, noises=np.tile(proc_points.noises, (tiled, 1)))
             obs_noises = np.tile(points.noises, (tiled, 1))
         failed: list[object | None] = [None] * tiled
         try:

@@ -9,11 +9,17 @@ with all noise standard normal by convention; any scaling or coloring
 belongs inside ``g`` and ``h``. Both maps must accept arrays whose
 leading axes broadcast: filtering evaluates them on whole batches of
 sampled states at once, simulation on single vectors.
+
+A model whose process is affine, g(x, v) = F x + b + G v, can declare
+so with an :class:`AffineProcess`. The filter then predicts in closed
+form, F m + b and F P F^T + G G^T, and never evaluates ``g``; both
+built-in models declare theirs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,12 +35,50 @@ from ._linalg import (
 )
 
 __all__ = [
+    "AffineProcess",
     "StateSpaceModel",
     "GaussianBelief",
     "make_noise_magnitude_model",
     "make_heaviside_model",
     "simulate",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class AffineProcess:
+    """Affine process map with additive noise, g(x, v) = F x + offset + G v.
+
+    ``transition`` F has shape (state_dim, state_dim), ``offset`` shape
+    (state_dim,) and ``noise_gain`` G shape (state_dim, noise_dim); all
+    must be finite. ``noise_cov`` holds Q = G G^T, computed once. The
+    value is itself the process map: calling it broadcasts over leading
+    sample axes like any ``process``. Arrays are copied and read-only.
+    """
+
+    transition: np.ndarray
+    offset: np.ndarray
+    noise_gain: np.ndarray
+    noise_cov: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        f = np.atleast_2d(np.array(self.transition, dtype=float))
+        b = np.atleast_1d(np.array(self.offset, dtype=float))
+        g = np.atleast_2d(np.array(self.noise_gain, dtype=float))
+        d = f.shape[0]
+        if f.shape != (d, d) or b.shape != (d,) or g.ndim != 2 or g.shape[0] != d:
+            raise ValueError(
+                f"affine process shapes do not fit: transition {f.shape}, "
+                f"offset {b.shape}, noise_gain {g.shape}"
+            )
+        if not (_finite(f) and _finite(b) and _finite(g)):
+            raise ValueError("affine process matrices must be finite")
+        for name, arr in zip(("transition", "offset", "noise_gain", "noise_cov"),
+                             (f, b, g, g @ g.T)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __call__(self, x, v):
+        return x @ self.transition.T + self.offset + v @ self.noise_gain.T
 
 
 @dataclass(frozen=True)
@@ -50,7 +94,7 @@ class StateSpaceModel:
         independent of the state and measurement dimensions.
     process, observe : callable
         ``process(x, v)`` and ``observe(x, w)``; must broadcast over a
-        leading sample axis.
+        leading sample axis. An :class:`AffineProcess` is a process map.
     likelihood : callable, optional
         ``likelihood(y, x)`` returning the observation density
         pointwise, broadcasting over both arguments. Only needed by the
@@ -59,6 +103,12 @@ class StateSpaceModel:
         own (y, x) pair only; filtering never evaluates it.
     name : str
         Identifier used in reports and output file names.
+    affine_process : AffineProcess, optional
+        Declares ``process`` affine with these matrices. The filter then
+        predicts in closed form and never calls ``process``, which keeps
+        serving simulation; the declaration is trusted, not checked
+        against ``process``. Undeclared maps are predicted by pushing
+        the engine's point set through ``process``.
     """
 
     state_dim: int
@@ -69,6 +119,7 @@ class StateSpaceModel:
     observe: Callable[[np.ndarray, np.ndarray], np.ndarray]
     likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     name: str = ""
+    affine_process: AffineProcess | None = None
 
     def __post_init__(self):
         for label in ("state_dim", "meas_dim", "process_noise_dim", "obs_noise_dim"):
@@ -79,6 +130,14 @@ class StateSpaceModel:
             raise ValueError("process and observe must be callable")
         if self.likelihood is not None and not callable(self.likelihood):
             raise ValueError("likelihood must be callable when given")
+        affine, shape = self.affine_process, (self.state_dim, self.process_noise_dim)
+        if affine is not None and (
+            not isinstance(affine, AffineProcess) or affine.noise_gain.shape != shape
+        ):
+            raise ValueError(
+                "affine_process must be an AffineProcess whose noise_gain has "
+                f"shape (state_dim, process_noise_dim) = {shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,7 +167,7 @@ class GaussianBelief:
             raise NumericsError("belief has non-finite mean or covariance")
         if d == 1:
             if cov[0, 0] < 0.0:
-                raise NumericsError(f"negative variance {cov[0, 0]!r}")
+                raise NumericsError(f"negative variance {float(cov[0, 0])!r}")
             cov = cov.copy()
         else:
             gap = float(np.max(np.abs(cov - cov.T)))
@@ -132,6 +191,24 @@ class GaussianBelief:
         return np.sqrt(np.clip(np.diagonal(self.cov), 0.0, None))
 
 
+def _model_param(name: str, value) -> float:
+    # One scalar parameter of a built-in model factory as a float: finite,
+    # and for the prior variance also nonnegative. A bad value is a
+    # configuration error, so it raises ValueError; config parses the
+    # model.* keys through here to name the key.
+    value = float(value)
+    if not math.isfinite(value) or (name == "prior_var" and value < 0.0):
+        need = "finite and nonnegative" if name == "prior_var" else "finite"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return value
+
+
+def _scalar_prior(prior_mean, prior_var) -> GaussianBelief:
+    mean = _model_param("prior_mean", prior_mean)
+    var = _model_param("prior_var", prior_var)
+    return GaussianBelief(np.array([mean]), np.array([[var]]))
+
+
 def make_noise_magnitude_model(
     prior_mean: float = 5.0,
     prior_var: float = 1.0,
@@ -147,11 +224,14 @@ def make_noise_magnitude_model(
 
     so y carries information about M only through its spread, never its
     sign. A filter that correlates the state with y alone sees nothing;
-    correlating with y^2 does.
-    """
+    correlating with y^2 does. The process is declared affine.
 
-    def process(m, v):
-        return m + noise_scale * v
+    Raises ValueError for a non-finite parameter or a negative prior
+    variance.
+    """
+    prior = _scalar_prior(prior_mean, prior_var)
+    noise_scale = _model_param("noise_scale", noise_scale)
+    process = AffineProcess(np.eye(1), np.zeros(1), np.array([[noise_scale]]))
 
     def observe(m, w):
         return m * w
@@ -175,8 +255,8 @@ def make_noise_magnitude_model(
         observe=observe,
         likelihood=likelihood,
         name="noise_magnitude",
+        affine_process=process,
     )
-    prior = GaussianBelief(np.array([prior_mean]), np.array([[prior_var]]))
     return model, prior
 
 
@@ -191,15 +271,19 @@ def make_heaviside_model(
         y_t = x_t + w_t + step_height * H(x_t),   H(x) = 1 for x >= 0
 
     Far from the step the measurement is linear in the state; near it a
-    single measurement can pin the state's sign.
+    single measurement can pin the state's sign. The process is declared
+    affine.
+
+    Raises ValueError for a non-finite parameter or a negative prior
+    variance.
     """
+    prior = _scalar_prior(prior_mean, prior_var)
+    step_height = _model_param("step_height", step_height)
+    process = AffineProcess(np.eye(1), np.zeros(1), np.eye(1))
 
     def _step(x):
         # H(0) = 1 by convention.
         return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0)
-
-    def process(x, v):
-        return x + v
 
     def observe(x, w):
         return x + w + step_height * _step(x)
@@ -217,8 +301,8 @@ def make_heaviside_model(
         observe=observe,
         likelihood=likelihood,
         name="heaviside",
+        affine_process=process,
     )
-    prior = GaussianBelief(np.array([prior_mean]), np.array([[prior_var]]))
     return model, prior
 
 

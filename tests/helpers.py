@@ -5,9 +5,11 @@ equations and share no code with the package's moment-based update, so
 agreement between the two is evidence, not tautology.
 """
 
+import dataclasses
+
 import numpy as np
 
-from fgfilter import JointMoments, StateSpaceModel
+from fgfilter import AffineProcess, JointMoments, StateSpaceModel
 from fgfilter._linalg import gaussian_pdf
 
 
@@ -62,16 +64,15 @@ def linear_ssm(sys, name="linear"):
 
     Noise enters through Cholesky factors, so process noise dimension
     equals the state dimension and observation noise dimension the
-    measurement dimension. Scalar systems also get the closed-form
-    likelihood the grid oracle needs.
+    measurement dimension. The process is declared affine, so the filter
+    predicts it in closed form; :func:`undeclared` gives the twin that
+    is predicted through the engine's points. Scalar systems also get
+    the closed-form likelihood the grid oracle needs.
     """
     a, b, c, d = sys["a"], sys["b"], sys["c"], sys["d"]
-    chol_q = np.linalg.cholesky(sys["q"])
     chol_r = np.linalg.cholesky(sys["r"])
     dx, dy = a.shape[0], c.shape[0]
-
-    def process(x, v):
-        return x @ a.T + b + v @ chol_q.T
+    process = AffineProcess(a, b, np.linalg.cholesky(sys["q"]))
 
     def observe(x, w):
         return x @ c.T + d + w @ chol_r.T
@@ -94,7 +95,13 @@ def linear_ssm(sys, name="linear"):
         observe=observe,
         likelihood=likelihood,
         name=name,
+        affine_process=process,
     )
+
+
+def undeclared(model):
+    """The same model with the same maps, but no affine process declared."""
+    return dataclasses.replace(model, affine_process=None)
 
 
 def kalman_filter(sys, mean, cov, measurements):

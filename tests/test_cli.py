@@ -249,12 +249,15 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
+    # Every value is valid, but a magnitude near the largest float makes
+    # the simulated measurement m * w overflow within a few dozen steps.
     cfg = _write_config(
-        tmp_path, "model.name = noise_magnitude\nmodel.prior_var = -1\n"
+        tmp_path, "model.name = noise_magnitude\nmodel.prior_mean = 1e308\n"
     )
-    rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    with np.errstate(over="ignore"):
+        rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: non-finite measurement" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -270,6 +273,11 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         ("simulate", "engine.samples = 500\nengine.kind = sigma_point"),
         ("simulate", "engine.seed = 3\nengine.kind = sigma_point"),
         ("simulate", "engine.kappa = 1\nengine.kind = monte_carlo"),
+        # model values that parse but that no model can take
+        ("simulate", "model.prior_var = -1"),
+        ("simulate", "model.prior_var = nan"),
+        ("simulate", "model.prior_mean = inf"),
+        ("simulate", "model.noise_scale = nan"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):

@@ -9,6 +9,7 @@ a fused multi-lane pass equals one solo run per lane.
 
 import dataclasses
 
+import fgfilter.filters
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -42,6 +43,7 @@ from helpers import (
     random_affine_moments,
     random_linear_system,
     random_spd,
+    undeclared,
 )
 
 
@@ -415,20 +417,26 @@ def test_non_finite_fit_is_reported_as_non_finite(dx):
     assert "non-finite" in message and "cannot be made PSD" in message
 
 
-def test_lanes_share_one_model_pass_per_step():
-    # With standardization on, one step calls the process map once and
-    # the observation map once for all lanes together: the prediction,
-    # the feature scale and the joint moments share those calls.
+def test_lanes_share_one_model_pass_per_step(monkeypatch):
+    # With standardization on, one step calls the observation map once
+    # for all lanes together: the feature scale and the joint moments
+    # share that call. The declared affine process is predicted in closed
+    # form, with no process call and no process point set; its undeclared
+    # twin calls the process map once per step for all lanes.
     model, prior = make_heaviside_model()
-    calls = {"process": 0, "observe": 0}
+    calls = {"process": 0, "observe": 0, "point_sets": 0}
 
     def counting(name, fn):
-        def wrapped(x, noise):
+        def wrapped(*args):
             calls[name] += 1
-            return fn(x, noise)
+            return fn(*args)
 
         return wrapped
 
+    monkeypatch.setattr(
+        "fgfilter.filters._unit_points",
+        counting("point_sets", fgfilter.filters._unit_points),
+    )
     counted = dataclasses.replace(
         model,
         process=counting("process", model.process),
@@ -437,12 +445,69 @@ def test_lanes_share_one_model_pass_per_step():
     _, meas = simulate(model, prior.mean, 12, seed=6)
     features = [make_monomial_feature(1, order) for order in (1, 2, 3)]
     engine = monte_carlo(sample_count=500, seed=6)
-    lanes = run_filter_lanes(counted, prior, features, engine, meas, standardize=True)
-    assert lanes.diverged_at == (None, None, None)
-    assert calls == {"process": 12, "observe": 12}
-    calls.update(process=0, observe=0)
-    run_filter(counted, prior, features[2], engine, meas, standardize=True)
-    assert calls == {"process": 12, "observe": 12}
+    for declared, expected in (
+        (counted, {"process": 0, "observe": 12, "point_sets": 1}),
+        (undeclared(counted), {"process": 12, "observe": 12, "point_sets": 2}),
+    ):
+        calls.update(process=0, observe=0, point_sets=0)
+        lanes = run_filter_lanes(declared, prior, features, engine, meas, standardize=True)
+        assert lanes.diverged_at == (None, None, None)
+        assert calls == expected
+        calls.update(process=0, observe=0, point_sets=0)
+        run_filter(declared, prior, features[2], engine, meas, standardize=True)
+        assert calls == expected
+
+
+def _affine_cases():
+    # (model, prior, feature orders) with a declared affine process: the two
+    # built-in models and linear systems of state dimension 1 to 3.
+    rng = np.random.default_rng(27)
+    noise, noise_prior = make_noise_magnitude_model()
+    heavi, heavi_prior = make_heaviside_model()
+    cases = [
+        (noise, noise_prior, (1, 2)),
+        (heavi, heavi_prior, (1,)),
+    ]
+    for dx, dy in ((1, 1), (2, 1), (3, 2)):
+        model = linear_ssm(random_linear_system(rng, dx, dy))
+        prior = GaussianBelief(rng.standard_normal(dx), random_spd(rng, dx))
+        cases.append((model, prior, (1,)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_declared_and_point_predictions_agree(case):
+    # Sigma points are exact for affine maps, so the point path and the
+    # closed form agree up to roundoff, step after step.
+    model, prior, orders = _affine_cases()[case]
+    twin = undeclared(model)
+    assert model.affine_process is not None and twin.affine_process is None
+    for belief in (prior, predict(prior, model, sigma_point())):
+        exact = predict(belief, model, sigma_point())
+        points = predict(belief, twin, sigma_point())
+        assert_allclose(exact.mean, points.mean, rtol=1e-12, atol=0)
+        assert_allclose(exact.cov, points.cov, rtol=1e-12, atol=0)
+    _, meas = simulate(model, prior.mean, 40, seed=case)
+    for order in orders:
+        feature = make_monomial_feature(model.meas_dim, order)
+        exact = run_filter(model, prior, feature, sigma_point(), meas)
+        points = run_filter(twin, prior, feature, sigma_point(), meas)
+        assert_allclose([b.mean for b in exact], [b.mean for b in points], rtol=1e-12, atol=0)
+        assert_allclose([b.cov for b in exact], [b.cov for b in points], rtol=1e-12, atol=0)
+
+
+def test_point_path_matches_kalman():
+    # Criterion 1's system and tolerances, on the undeclared twin, so the
+    # point-based prediction stays checked against the Kalman filter.
+    rng = np.random.default_rng(11)
+    sys = random_linear_system(rng, 3, 2)
+    model = undeclared(linear_ssm(sys))
+    _, meas = simulate(model, np.zeros(3), steps=100, seed=11)
+    prior = GaussianBelief(np.zeros(3), np.eye(3))
+    posts = run_filter(model, prior, make_affine_feature(2), sigma_point(), meas)
+    for got, (kf_mean, kf_cov) in zip(posts, kalman_filter(sys, np.zeros(3), np.eye(3), meas)):
+        assert np.max(np.abs(got.mean - kf_mean)) < 1e-6
+        assert np.max(np.abs(got.cov - kf_cov)) < 1e-5 * np.max(np.abs(kf_cov))
 
 
 def test_run_filter_lanes_validation():

@@ -132,8 +132,10 @@ def test_ensure_psd_scale_widens_tolerance():
 def test_ensure_psd_scalar_paths():
     assert ensure_psd(np.array([[2.5]]))[0, 0] == 2.5
     assert ensure_psd(np.array([[-1e-15]]), scale=1.0)[0, 0] == 0.0
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError) as exc:
         ensure_psd(np.array([[-0.5]]))
+    assert "variance -0.5 is negative" in str(exc.value)
+    assert "np.float64" not in str(exc.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from fgfilter import (
+    AffineProcess,
     GaussianBelief,
     NumericsError,
     StateSpaceModel,
@@ -45,12 +46,17 @@ def test_belief_symmetrizes_and_freezes():
 
 
 def test_belief_rejects_bad_input():
-    with pytest.raises(NumericsError):
+    # Numbers in the messages print as plain floats, never np.float64(...).
+    with pytest.raises(NumericsError) as exc:
         GaussianBelief(np.array([1.0]), np.array([[-0.5]]))
+    assert "negative variance -0.5" in str(exc.value)
+    assert "np.float64" not in str(exc.value)
     with pytest.raises(NumericsError):
         GaussianBelief(np.array([np.nan]), np.array([[1.0]]))
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError) as exc:
         GaussianBelief(np.zeros(2), np.diag([1.0, -1.0]))
+    assert "eigenvalue -1.0" in str(exc.value)
+    assert "np.float64" not in str(exc.value)
     with pytest.raises(ValueError):
         GaussianBelief(np.zeros(2), np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(ValueError):
@@ -62,6 +68,75 @@ def test_model_validates_dimensions():
         StateSpaceModel(0, 1, 1, 1, lambda x, v: x, lambda x, w: x)
     with pytest.raises(ValueError):
         StateSpaceModel(1, 1, 1, 1, None, lambda x, w: x)
+
+
+def test_affine_process_validation():
+    f = np.array([[1.0, 0.5], [0.0, 1.0]])
+    g = np.array([[1.0], [2.0]])
+    affine = AffineProcess(f, [0.0, 1.0], g)
+    assert_allclose(affine.noise_cov, g @ g.T)
+    assert not affine.transition.flags.writeable and not affine.noise_cov.flags.writeable
+    f[0, 0] = 7.0
+    assert affine.transition[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        AffineProcess(np.eye(2), np.zeros(3), g)
+    with pytest.raises(ValueError):
+        AffineProcess(np.ones((2, 3)), np.zeros(2), g)
+    with pytest.raises(ValueError):
+        AffineProcess(np.eye(2), np.zeros(2), np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        AffineProcess(np.eye(2), np.zeros(2), np.array([[np.nan], [1.0]]))
+    # The declaration must fit the model's state and process noise.
+    observe = lambda x, w: x[..., :1] + w  # noqa: E731
+    StateSpaceModel(2, 1, 1, 1, affine, observe, affine_process=affine)
+    with pytest.raises(ValueError):
+        StateSpaceModel(2, 1, 2, 1, affine, observe, affine_process=affine)
+    with pytest.raises(ValueError):
+        StateSpaceModel(2, 1, 1, 1, affine, observe, affine_process=affine.__call__)
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 0.37, -2.5])
+def test_builtin_process_is_its_declared_map(scale):
+    # Bit for bit, on sample batches and on the single vectors simulate
+    # passes, the process equals both the declared matrices and the
+    # documented x + scale * v.
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((1000, 1)) * 100.0
+    v = rng.standard_normal((1000, 1))
+    noise, _ = make_noise_magnitude_model(noise_scale=scale)
+    heaviside, _ = make_heaviside_model()
+    for model, s in ((noise, scale), (heaviside, 1.0)):
+        affine = model.affine_process
+        declared = x @ affine.transition.T + affine.offset + v @ affine.noise_gain.T
+        assert np.array_equal(model.process(x, v), declared)
+        assert np.array_equal(model.process(x, v), x + s * v)
+        assert np.array_equal(model.process(x[0], v[0]), x[0] + s * v[0])
+
+
+@pytest.mark.parametrize(
+    "maker, kwargs",
+    [
+        (make_noise_magnitude_model, {"prior_var": -1.0}),
+        (make_noise_magnitude_model, {"prior_var": np.nan}),
+        (make_noise_magnitude_model, {"prior_var": np.inf}),
+        (make_noise_magnitude_model, {"prior_mean": np.inf}),
+        (make_noise_magnitude_model, {"noise_scale": np.nan}),
+        (make_heaviside_model, {"prior_mean": -np.inf}),
+        (make_heaviside_model, {"prior_var": -1e-300}),
+        (make_heaviside_model, {"step_height": np.nan}),
+    ],
+)
+def test_factories_reject_bad_parameters(maker, kwargs):
+    # A bad parameter is a configuration error (ValueError), not a
+    # numerical failure (NumericsError, a RuntimeError).
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        maker(**kwargs)
+
+
+def test_factories_accept_a_point_mass_prior():
+    for maker in (make_noise_magnitude_model, make_heaviside_model):
+        _, prior = maker(prior_var=0.0)
+        assert prior.cov[0, 0] == 0.0
 
 
 def test_noise_magnitude_maps():
