@@ -153,35 +153,69 @@ def ensure_psd(a: np.ndarray, *, scale: float | None = None) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     _require_square(a, "matrix")
-    return _clip_psd(a, scale)
+    out, problems, _ = _clip_psd(a[None], None if scale is None else np.array([scale]))
+    if problems:
+        raise NumericsError(problems[0])
+    return out[0]
 
 
-def _clip_psd(a: np.ndarray, scale: float | None) -> np.ndarray:
-    # Kernel behind ensure_psd for a square float matrix. Non-finite
-    # input is reported as such, not as an indefinite matrix.
-    if a.shape[0] == 1:
-        v = a[0, 0]
-        if not math.isfinite(v):
-            raise NumericsError(f"non-finite variance {float(v)!r} cannot be made PSD")
-        if v >= 0.0:
-            return np.array([[v]])
-        ref = abs(v) if scale is None else scale
-        if v >= -PSD_REL_TOL * max(ref, _TINY):
-            return np.array([[0.0]])
-        raise NumericsError(f"variance {float(v)!r} is negative beyond tolerance")
+def _clip_psd(a: np.ndarray, scale, roots: bool = False):
+    # Kernel behind ensure_psd over a stack of square float matrices
+    # (L, d, d). ``scale`` gives each one's reference magnitude, as an
+    # array or as a function returning it, called only once some matrix
+    # has a negative eigenvalue; None takes each matrix's largest
+    # absolute eigenvalue. Returns the clipped stack, {index: message}
+    # for the matrices that cannot be made PSD, whose entries are
+    # meaningless, and, if ``roots`` asks for them, their _psd_roots when
+    # the screen's eigendecomposition yields them as is (d > 1, every
+    # matrix PSD), else None. Non-finite input is reported as such, not
+    # as an indefinite matrix.
+    if a.shape[-1] == 1:
+        v = a[:, 0, 0]
+        if v.min() >= 0.0 and v.max() < np.inf:
+            return v.reshape(-1, 1, 1).copy(), {}, None
+        ref = np.abs(v) if scale is None else scale() if callable(scale) else scale
+        nonneg = v >= 0.0
+        ok = (nonneg | (v >= -PSD_REL_TOL * np.maximum(ref, _TINY))) & np.isfinite(v)
+        problems = {}
+        if not ok.all():
+            for i in np.flatnonzero(~ok).tolist():
+                vi = float(v[i])
+                problems[i] = (
+                    f"non-finite variance {vi!r} cannot be made PSD"
+                    if not math.isfinite(vi)
+                    else f"variance {vi!r} is negative beyond tolerance"
+                )
+        return np.where(nonneg, v, 0.0).reshape(-1, 1, 1), problems, None
 
-    if not _finite(a):
-        raise NumericsError("non-finite matrix cannot be made PSD")
-    mat = symmetrize(a)
-    w, vec = np.linalg.eigh(mat)
-    ref = max(abs(w[0]), abs(w[-1])) if scale is None else scale
-    if w[0] < -PSD_REL_TOL * max(ref, _TINY):
-        raise NumericsError(
-            f"matrix has eigenvalue {float(w[0])!r}, negative beyond tolerance"
-        )
-    if w[0] >= 0.0:
-        return mat
-    return symmetrize((vec * np.clip(w, 0.0, None)) @ vec.T)
+    out = 0.5 * (a + a.swapaxes(1, 2))
+    if _finite(a):
+        w, vec = np.linalg.eigh(out)
+        if w[:, 0].min() >= 0.0:
+            # out is exactly symmetric, so this is _psd_roots(out) bit for bit.
+            return out, {}, _eig_roots(w, vec) if roots else None
+        finite = np.full(len(a), True)
+    else:
+        finite = np.isfinite(a).all(axis=(1, 2))
+        w, vec = np.linalg.eigh(np.where(finite[:, None, None], out, 0.0))
+    if scale is None:
+        ref = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    else:
+        ref = scale() if callable(scale) else scale
+    ok = finite & ~(w[:, 0] < -PSD_REL_TOL * np.maximum(ref, _TINY))
+    problems = {}
+    if not ok.all():
+        for i in np.flatnonzero(~ok).tolist():
+            problems[i] = (
+                "non-finite matrix cannot be made PSD"
+                if not finite[i]
+                else f"matrix has eigenvalue {float(w[i, 0])!r}, negative beyond tolerance"
+            )
+    neg = np.flatnonzero(w[:, 0] < 0.0)
+    if neg.size:
+        clipped = (vec[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ vec[neg].swapaxes(1, 2)
+        out[neg] = 0.5 * (clipped + clipped.swapaxes(1, 2))
+    return out, problems, None
 
 
 def _psd_roots(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,9 +233,13 @@ def _psd_roots(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ok = var >= 0.0
         return np.sqrt(np.where(ok, var, 0.0))[:, None, None], ok
     w, v = np.linalg.eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
-    ok = _psd_ok(w)
-    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.swapaxes(-1, -2)
-    return roots, ok
+    return _eig_roots(w, v), _psd_ok(w)
+
+
+def _eig_roots(w, v):
+    # Symmetric square roots from ascending eigenvalues (L, d) and
+    # eigenvectors (L, d, d), negative eigenvalues taken as zero.
+    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.swapaxes(-1, -2)
 
 
 def gaussian_pdf(x, mean=0.0, var=1.0):

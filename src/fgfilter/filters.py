@@ -18,11 +18,14 @@ features let the posterior mean respond nonlinearly to y, which is what
 extracts information from measurements whose correlation with the state
 is purely higher-order.
 
-Filtering runs as one fused pass over lanes, one lane per feature, all
-sharing the model, the measurements and the engine's point set:
-:func:`run_filter_lanes`. :func:`run_filter` is its one-lane case, and
-the stage functions (:func:`predict`, :func:`joint_moments`,
-:func:`fgf_solve`) call the same kernels with a batch of one.
+Filtering runs as one fused pass over lanes. :func:`run_filter_lanes`
+filters one measurement sequence with one lane per feature, all lanes
+sharing the model and the engine's point set; the experiments filter a
+block of seeds through the same pass, one lane per (seed, feature), each
+seed with its own measurements and point set. :func:`run_filter` is the
+one-lane case, and the stage functions (:func:`predict`,
+:func:`joint_moments`, :func:`fgf_solve`) call the same kernels with a
+batch of one.
 """
 
 from __future__ import annotations
@@ -288,17 +291,20 @@ def _process_points(model, engine):
     return _unit_points(engine, model.state_dim, model.process_noise_dim)
 
 
-def _predicted(model, points: PointSet | None, means, covs):
+def _predicted(model, points: PointSet | None, means, covs, roots=None):
     # Moment-matched prediction of a stack of beliefs. A declared affine
     # process is matched exactly: F m + b and F P F^T + Q, symmetric up
     # to roundoff, which every consumer symmetrizes away. Otherwise the
-    # process noises of ``points`` are stacked once per lane. The
-    # covariances are PSD already (validated prior, clipped posteriors).
+    # process noises of ``points`` are stacked once per lane, placed with
+    # ``roots``, the covariances' _psd_roots, computed here if not given.
+    # The covariances are PSD already (validated prior, clipped posteriors).
     affine = model.affine_process
     if affine is not None:
         f = affine.transition
         return means @ f.T + affine.offset, f @ covs @ f.T + affine.noise_cov
-    states = _place(points, means, _psd_roots(covs)[0])
+    if roots is None:
+        roots = _psd_roots(covs)[0]
+    states = _place(points, means, roots)
     prop = _map_points(model.process, states, points.noises, model.state_dim, "process map")
     return _moments(prop, points.weights)
 
@@ -322,10 +328,12 @@ def _raw_moments(z, weights):
     return (z * weights) @ z.T
 
 
-def _fit(e_xx, e_xf, e_ff):
-    # Gamma and sigma from the raw second moments; see fgf_solve.
+def _gain(raw, dx):
+    # Gamma of one lane from its raw second moments (dx + k, dx + k):
+    # solves E[phi phi^T] gamma^T = E[phi x^T]; see fgf_solve.
+    e_ff = raw[dx:, dx:]
     try:
-        gamma = _cho_solve_jittered(e_ff, e_xf.T).T
+        return _cho_solve_jittered(e_ff, raw[:dx, dx:].T).T
     except NumericsError as err:
         if not _finite(e_ff):
             raise NumericsError("joint moments contain non-finite values") from err
@@ -334,10 +342,22 @@ def _fit(e_xx, e_xf, e_ff):
             "budget; reduce the feature order or standardize the "
             f"feature inputs ({err})"
         ) from err
-    cross = gamma @ e_xf.T
-    resid = e_xx - cross - cross.T + gamma @ e_ff @ gamma.T
-    scale = max(float(e_xx.trace()) / e_xx.shape[0], _TINY)
-    return gamma, _clip_psd(resid, scale)
+
+
+def _residual(raw, gamma):
+    # Residual covariance of the fit over a stack of lanes of one feature,
+    # raw (L, dx + k, dx + k) and gamma (L, dx, k). The full quadratic
+    # form stays PSD even when the solve took jitter.
+    dx = gamma.shape[1]
+    e_xx, e_xf, e_ff = raw[:, :dx, :dx], raw[:, :dx, dx:], raw[:, dx:, dx:]
+    cross = gamma @ e_xf.swapaxes(1, 2)
+    return e_xx - cross - cross.swapaxes(1, 2) + gamma @ e_ff @ gamma.swapaxes(1, 2)
+
+
+def _fit_scale(raw, dx):
+    # Reference magnitude of the fit's residual for the PSD clip, the mean
+    # diagonal of E[x x^T], over a stack of lanes.
+    return raw[:, :dx, :dx].trace(axis1=1, axis2=2) / dx
 
 
 def _input_spread(ys, weights):
@@ -443,12 +463,17 @@ def fgf_solve(moments: JointMoments) -> FgfPosteriorParams:
     when the Gram solve needed jitter.
     """
     m = moments
-    gamma, sigma = _fit(
-        m.s_xx + np.outer(m.mu_x, m.mu_x),
-        m.s_xf + np.outer(m.mu_x, m.mu_f),
-        m.s_ff + np.outer(m.mu_f, m.mu_f),
+    e_xf = m.s_xf + np.outer(m.mu_x, m.mu_f)
+    raw = np.block(
+        [[m.s_xx + np.outer(m.mu_x, m.mu_x), e_xf], [e_xf.T, m.s_ff + np.outer(m.mu_f, m.mu_f)]]
     )
-    return FgfPosteriorParams(gamma, sigma)
+    gamma = _gain(raw, m.state_dim)
+    sigma, problems, _ = _clip_psd(
+        _residual(raw[None], gamma[None]), _fit_scale(raw[None], m.state_dim)
+    )
+    if problems:
+        raise NumericsError(problems[0])
+    return FgfPosteriorParams(gamma, sigma[0])
 
 
 def fgf_update(
@@ -537,87 +562,183 @@ def run_filter_lanes(
         )
     if not _finite(ys):
         raise ValueError("measurements must be finite")
-    # Non-finite values are screened once per step and reported as
-    # NumericsError, so numpy's warnings on the way there are noise.
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _filter_pass(model, prior, features, engine, ys, standardize)
+    return _filter_pass(model, prior, features, [engine], ys[None], standardize)[0]
 
 
-def _filter_pass(model, prior, features, engine, ys, standardize):
-    dx, dy = model.state_dim, model.meas_dim
-    means = np.full((len(features), ys.shape[0], dx), np.nan)
-    covs = np.full((len(features), ys.shape[0], dx, dx), np.nan)
-    errors: list[NumericsError | None] = [None] * len(features)
-    if not ys.shape[0]:
-        return FilterLanes(means, covs, tuple(errors))
+def _lane_layout(live, n_feat, obs_sets, proc_sets):
+    # The live lanes (sorted lane numbers, seed-major) as runs of one
+    # seed, (start, stop, observation points, tiled observation noises),
+    # over their positions; as prediction runs, (start, stop, tiled
+    # process points or None for a declared affine process), one per
+    # distinct process point set; and as groups of one feature,
+    # {feature: (positions, seeds, count)}. ``slot[j]`` is position j's
+    # index within its group. While every lane is live, positions and
+    # seeds are slices, which index for free. Every lane of a seed sees
+    # the same noise draws.
+    seed_of, feat_of = np.divmod(live, n_feat)
+    starts = np.flatnonzero(np.r_[True, seed_of[1:] != seed_of[:-1]]).tolist()
+    runs, pruns = [], []
+    for a, b in zip(starts, starts[1:] + [live.size]):
+        points = obs_sets[seed_of[a]]
+        runs.append((a, b, points, np.tile(points.noises, (b - a, 1))))
+        pruns.append((a, b, proc_sets[seed_of[a]]))
+    if len({id(proc) for _, _, proc in pruns}) == 1:
+        pruns = [(0, live.size, pruns[0][2])]
+    pruns = [
+        (a, b, proc if proc is None else replace(proc, noises=np.tile(proc.noises, (b - a, 1))))
+        for a, b, proc in pruns
+    ]
+    full = live.size == len(obs_sets) * n_feat
+    groups, slot = {}, np.zeros(live.size, dtype=int)
+    for f in range(n_feat):
+        pos = np.flatnonzero(feat_of == f)
+        if pos.size:
+            slot[pos] = np.arange(pos.size)
+            index = (slice(f, None, n_feat), slice(None)) if full else (pos, seed_of[pos])
+            groups[f] = (*index, pos.size)
+    lanes = slice(None) if full else live
+    return runs, pruns, groups, feat_of.tolist(), slot.tolist(), lanes
+
+
+def _scatter_scale(groups, raws, n_lanes, dx):
+    # _fit_scale of every live lane, gathered from its feature's stack.
+    scale = np.empty(n_lanes)
+    for f, (pos, _, _) in groups.items():
+        scale[pos] = _fit_scale(raws[f], dx)
+    return scale
+
+
+# Non-finite values are screened once per step and reported as
+# NumericsError, so numpy's warnings on the way there are noise.
+@np.errstate(invalid="ignore", over="ignore")
+def _filter_pass(model, prior, features, engines, ys, standardize):
+    # Filter the measurement sequences ys (seeds, steps, meas_dim), seed s
+    # under engines[s], with one lane per (seed, feature), and return one
+    # FilterLanes per seed. Each seed keeps its own point set, so the point
+    # kernels (placing, the observation map, the feature maps, the moment
+    # sums) run per seed over that seed's lanes, on cache-sized arrays.
+    # The small algebra runs once per step over every live lane: the
+    # prediction, the covariance roots, the fit's residual and clip, the
+    # mean update and the non-finite screen. Only the Gram solve runs per
+    # lane. Live lanes stay compacted, seed-major, so a seed's lanes are
+    # one run of positions.
+    n_seeds, steps, dy = ys.shape
+    n_feat, dx = len(features), model.state_dim
+    means = np.full((n_seeds, n_feat, steps, dx), np.nan)
+    covs = np.full((n_seeds, n_feat, steps, dx, dx), np.nan)
+    errors: list[NumericsError | None] = [None] * (n_seeds * n_feat)
     rescale = [standardize and f.out_dim > dy + 1 for f in features]
     # Lanes with raw feature inputs map every observation at once.
-    phi_obs = [None if r else _feature_values(f, ys) for f, r in zip(features, rescale)]
-    proc_points = proc = _process_points(model, engine)
-    points = _unit_points(engine, dx, model.obs_noise_dim)
-    live = list(range(len(features)))
-    mean = np.repeat(prior.mean[None], len(live), axis=0)
-    cov = np.repeat(prior.cov[None], len(live), axis=0)
-    tiled = 0
-    for t in range(ys.shape[0]):
-        if len(live) != tiled:
-            # Every lane sees the same noise draws.
-            tiled = len(live)
-            if proc_points is not None:
-                proc = replace(proc_points, noises=np.tile(proc_points.noises, (tiled, 1)))
-            obs_noises = np.tile(points.noises, (tiled, 1))
-        failed: list[object | None] = [None] * tiled
-        try:
-            pmean, pcov = _predicted(model, proc, mean, cov)
-            roots, psd = _psd_roots(pcov)
-            states = _place(points, pmean, roots)
-            obs = _map_points(model.observe, states, obs_noises, dy, "observation map")
-        except NumericsError as err:
-            failed = [err] * tiled
+    phi_obs = [
+        None if r or not steps else _feature_values(f, ys) for f, r in zip(features, rescale)
+    ]
+    # One point set per distinct engine: seeds under one engine share its draws.
+    sets = {
+        engine: (_unit_points(engine, dx, model.obs_noise_dim), _process_points(model, engine))
+        for engine in dict.fromkeys(engines)
+    }
+    obs_sets, proc_sets = zip(*(sets[engine] for engine in engines))
+    flat_means = means.reshape(n_seeds * n_feat, steps, dx)
+    flat_covs = covs.reshape(n_seeds * n_feat, steps, dx, dx)
+    live = np.arange(n_seeds * n_feat)
+    mean = np.repeat(prior.mean[None], live.size, axis=0)
+    cov = np.repeat(prior.cov[None], live.size, axis=0)
+    # The posteriors' square roots, where the clip's screen yields them,
+    # so the point-based prediction skips one eigendecomposition.
+    post_roots = None
+    layout = None
+    # The features' output contract is checked on the first step.
+    checked = [partial(_feature_values, f) for f in features]
+    plain = [f.map for f in features]
+    for t in range(steps):
+        if layout is None:
+            layout = _lane_layout(live, n_feat, obs_sets, proc_sets)
+            runs, pruns, groups, feat_of, slot, lanes = layout
+            # Per feature, the raw moments and gains of its lanes, one stack
+            # each, and the fit's outputs: buffers kept while no lane drops.
+            raws, gammas = {}, {}
+            for f, (_, _, count) in groups.items():
+                k = features[f].out_dim
+                raws[f], gammas[f] = np.zeros((count, dx + k, dx + k)), np.zeros((count, dx, k))
+            resid, fitted = np.empty_like(cov), np.empty_like(mean)
+        maps = plain if t else checked
+        failed: dict[int, object] = {}
+        predicted = []
+        for a, b, proc in pruns:
+            given = None if post_roots is None else post_roots[a:b]
+            try:
+                predicted.append(_predicted(model, proc, mean[a:b], cov[a:b], given))
+            except NumericsError as err:
+                failed.update(dict.fromkeys(range(a, b), err))
+                predicted.append((mean[a:b], cov[a:b]))
+        if len(predicted) == 1:
+            pmean, pcov = predicted[0]
         else:
+            pmean, pcov = (np.concatenate(part) for part in zip(*predicted))
+        roots, psd = _psd_roots(pcov)
+        psd = psd.tolist()
+        if any(rescale):
+            shift, spread = np.zeros((live.size, dy)), np.full((live.size, dy), 1.0)
+        for a, b, points, noises in runs:
+            if a in failed:
+                continue
+            states = _place(points, pmean[a:b], roots[a:b])
+            try:
+                obs = _map_points(model.observe, states, noises, dy, "observation map")
+            except NumericsError as err:
+                failed.update(dict.fromkeys(range(a, b), err))
+                continue
             if any(rescale):
-                shifts, scales = _input_spread(obs, points.weights)
-            for j, lane in enumerate(live):
+                shift[a:b], spread[a:b] = _input_spread(obs, points.weights)
+            for j in range(a, b):
                 if not psd[j]:
                     failed[j] = "predicted covariance is non-finite or indefinite"
                     continue
-                feature = features[lane]
-                # The feature's output contract is checked on the first step.
-                evaluate = partial(_feature_values, feature) if t == 0 else feature.map
+                f = feat_of[j]
+                y = obs[j - a].T
                 try:
-                    if rescale[lane]:
-                        phis = evaluate((obs[j].T - shifts[j]) / scales[j])
-                        phi = evaluate((ys[t : t + 1] - shifts[j]) / scales[j])[0]
-                    else:
-                        phis = evaluate(obs[j].T)
-                        phi = phi_obs[lane][t]
-                    raw = _raw_moments(_stack(states[j], phis), points.weights)
-                    gamma, sigma = _fit(raw[:dx, :dx], raw[:dx, dx:], raw[dx:, dx:])
+                    phis = maps[f]((y - shift[j]) / spread[j] if rescale[f] else y)
+                    raw = _raw_moments(_stack(states[j - a], phis), points.weights)
+                    raws[f][slot[j]] = raw
+                    gammas[f][slot[j]] = _gain(raw, dx)
                 except NumericsError as err:
                     failed[j] = err
-                    continue
-                mean[j] = gamma @ phi
-                cov[j] = sigma
+        mean = fitted
+        for f, (pos, seeds, _) in groups.items():
+            resid[pos] = _residual(raws[f], gammas[f])
+            if rescale[f]:
+                phi = maps[f]((ys[seeds, t] - shift[pos]) / spread[pos])
+            else:
+                phi = phi_obs[f][seeds, t]
+            mean[pos] = (gammas[f] @ phi[:, :, None])[:, :, 0]
+        cov, problems, post_roots = _clip_psd(
+            resid, partial(_scatter_scale, groups, raws, live.size, dx), pruns[0][2] is not None
+        )
+        for j, problem in problems.items():
+            failed.setdefault(j, problem)
         # The step's one non-finite screen, over every lane's posterior.
         finite = np.isfinite(mean.sum(axis=1) + cov.sum(axis=(1, 2)))
-        keep = []
-        for j, lane in enumerate(live):
-            if failed[j] is None and not finite[j]:
-                failed[j] = "posterior moments are non-finite"
-            if failed[j] is None:
-                keep.append(j)
-                means[lane, t] = mean[j]
-                covs[lane, t] = cov[j]
-            else:
-                errors[lane] = _step_error(t, failed[j])
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            if not live:
-                break
-            mean, cov = mean[keep], cov[keep]
+        if not finite.all():
+            for j in np.flatnonzero(~finite).tolist():
+                failed.setdefault(j, "posterior moments are non-finite")
+        if failed:
+            for j, err in failed.items():
+                errors[live[j]] = _step_error(t, err)
+            keep = np.ones(live.size, dtype=bool)
+            keep[list(failed)] = False
+            live, mean, cov = live[keep], mean[keep], cov[keep]
+            post_roots = None
+            layout, lanes = None, live
+        flat_means[lanes, t] = mean
+        flat_covs[lanes, t] = cov
+        if not live.size:
+            break
     means.setflags(write=False)
     covs.setflags(write=False)
-    return FilterLanes(means, covs, tuple(errors))
+    return [
+        FilterLanes(means[s], covs[s], tuple(errors[s * n_feat : (s + 1) * n_feat]))
+        for s in range(n_seeds)
+    ]
 
 
 def run_filter(

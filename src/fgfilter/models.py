@@ -342,17 +342,20 @@ def simulate(
     process_noise = rng.standard_normal((steps, model.process_noise_dim))
     obs_noise = rng.standard_normal((steps, model.obs_noise_dim))
     states = np.empty((steps, model.state_dim))
-    for t in range(steps):
-        x = np.asarray(model.process(x, process_noise[t]), dtype=float).reshape(
-            model.state_dim
+    # Non-finite values are screened and reported below, so numpy's
+    # overflow warnings on the way there are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            x = np.asarray(model.process(x, process_noise[t]), dtype=float).reshape(
+                model.state_dim
+            )
+            states[t] = x
+        # One observe call over the whole trajectory, then one screen. The
+        # first failing step is reported; at that step a bad state takes
+        # precedence over the bad measurement it produced.
+        measurements = np.asarray(model.observe(states, obs_noise), dtype=float).reshape(
+            steps, model.meas_dim
         )
-        states[t] = x
-    # One observe call over the whole trajectory, then one screen. The
-    # first failing step is reported; at that step a bad state takes
-    # precedence over the bad measurement it produced.
-    measurements = np.asarray(model.observe(states, obs_noise), dtype=float).reshape(
-        steps, model.meas_dim
-    )
     bad_state = ~np.isfinite(states).all(axis=1)
     bad = bad_state | ~np.isfinite(measurements).all(axis=1)
     if bad.any():

@@ -1,6 +1,7 @@
 """CLI tests driven in process through cli_main(argv)."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -251,11 +252,14 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # Every value is valid, but a magnitude near the largest float makes
     # the simulated measurement m * w overflow within a few dozen steps.
+    # simulate screens and reports that itself, so numpy stays silent.
     cfg = _write_config(
         tmp_path, "model.name = noise_magnitude\nmodel.prior_mean = 1e308\n"
     )
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
         rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert rc == 2
     assert "numerical failure: non-finite measurement" in capsys.readouterr().err
 

@@ -4,6 +4,10 @@ Determinism is the headline requirement: identical seed and
 configuration must reproduce every array and every output byte.
 """
 
+import csv
+import math
+
+import fgfilter.filters
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +22,13 @@ from fgfilter import (
     write_report_csv,
     write_summary_csv,
 )
-from fgfilter.experiments import REPORT_COLUMNS, SUMMARY_COLUMNS, _run_tracking
+from fgfilter import experiments
+from fgfilter.experiments import (
+    REPORT_COLUMNS,
+    SUMMARY_COLUMNS,
+    ExperimentReport,
+    _run_tracking,
+)
 
 
 def test_report_shapes_and_rmse():
@@ -81,7 +91,7 @@ def test_heaviside_experiment_defaults():
 def test_model_keywords_go_to_the_factory():
     rep = run_heaviside_experiment(steps=5, seed=0, step_height=7.0)
     model, prior = make_heaviside_model(step_height=7.0)
-    ref = _run_tracking(model, prior, 5, 0, None, (3,), True)
+    ref = _run_tracking(model, prior, 5, [0], None, (3,), True)[0]
     assert np.array_equal(rep.measurements, ref.measurements)
     for order in rep.orders:
         assert np.array_equal(rep.means[order], ref.means[order])
@@ -114,6 +124,70 @@ def test_batch_runs_consecutive_seeds():
     assert [r.seed for r in reports] == [10, 11, 12]
 
 
+def _assert_same_report(got, want):
+    assert (got.model_name, got.seed, got.steps) == (want.model_name, want.seed, want.steps)
+    assert (got.engine, got.orders) == (want.engine, want.orders)
+    assert np.array_equal(got.true_states, want.true_states)
+    assert np.array_equal(got.measurements, want.measurements)
+    assert got.diverged_at == want.diverged_at
+    for order in want.orders:
+        assert np.array_equal(got.means[order], want.means[order], equal_nan=True)
+        assert np.array_equal(got.stds[order], want.stds[order], equal_nan=True)
+        same = got.rmse[order] == want.rmse[order]
+        assert same or (math.isnan(got.rmse[order]) and math.isnan(want.rmse[order]))
+
+
+SOLO = {"noise_magnitude": run_noise_experiment, "heaviside": run_heaviside_experiment}
+
+
+@pytest.mark.parametrize("model_name", sorted(SOLO))
+@pytest.mark.parametrize("budget", [None, 2 * 2 * 5000])
+def test_batch_reports_equal_solo_runs(monkeypatch, model_name, budget):
+    # With a small point budget the five seeds run in three blocks of at
+    # most two; with the default budget, in one block. Either way each
+    # seed's report is its single-seed run, bit for bit.
+    if budget is not None:
+        monkeypatch.setattr(experiments, "_BLOCK_POINTS", budget)
+    reports = run_experiment_batch(model_name, n_seeds=5, base_seed=20, steps=40)
+    assert [r.seed for r in reports] == list(range(20, 25))
+    for report in reports:
+        _assert_same_report(report, SOLO[model_name](steps=40, seed=report.seed))
+
+
+def test_batch_engines(monkeypatch):
+    # An explicit engine gives every seed the same point set, built once;
+    # without one, each seed draws its own monte_carlo(seed=seed) stream.
+    built = []
+    unit_points = fgfilter.filters._unit_points
+
+    def recording(engine, *args):
+        built.append(engine)
+        return unit_points(engine, *args)
+
+    monkeypatch.setattr("fgfilter.filters._unit_points", recording)
+    shared = monte_carlo(700, seed=9)
+    reports = run_experiment_batch("noise_magnitude", n_seeds=3, base_seed=4, steps=15, engine=shared)
+    assert built == [shared]
+    assert [r.engine for r in reports] == [shared] * 3
+    for report in reports:
+        _assert_same_report(report, run_noise_experiment(steps=15, seed=report.seed, engine=shared))
+    built.clear()
+    reports = run_experiment_batch("noise_magnitude", n_seeds=3, base_seed=4, steps=15)
+    assert built == [monte_carlo(seed=s) for s in (4, 5, 6)]
+    for report in reports:
+        own = monte_carlo(seed=report.seed)
+        assert report.engine == own
+        _assert_same_report(report, run_noise_experiment(steps=15, seed=report.seed, engine=own))
+
+
+def test_runtime_is_the_seed_share_of_its_block():
+    reports = run_experiment_batch("heaviside", n_seeds=3, steps=20)
+    assert all(math.isfinite(r.runtime) and r.runtime > 0.0 for r in reports)
+    assert len({r.runtime for r in reports}) == 1  # one block, shared evenly
+    solo = run_heaviside_experiment(steps=20)
+    assert math.isfinite(solo.runtime) and solo.runtime > 0.0
+
+
 def test_report_csv_layout(tmp_path):
     reports = run_experiment_batch(
         "noise_magnitude", n_seeds=2, base_seed=0, steps=12,
@@ -128,6 +202,39 @@ def test_report_csv_layout(tmp_path):
     assert first[0] == "0" and first[1] == "1"  # seed then 1-based step
     with pytest.raises(ValueError):
         write_report_csv(reports, 4, tmp_path / "missing.csv")
+
+
+def _reference_report_csv(reports, order, path):
+    # The writer as csv.writer spells it, row by row.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(REPORT_COLUMNS)
+        for r in reports:
+            tracks = (r.true_states, r.measurements, r.means[1], r.stds[1], r.means[order], r.stds[order])
+            for t in range(r.steps):
+                writer.writerow([r.seed, t + 1, *(repr(float(c[t])) for c in tracks)])
+
+
+def test_report_csv_matches_csv_writer(tmp_path):
+    # Awkward floats: -0.0, a subnormal, 1e17 (repr '1e+17'), inf, and a
+    # diverged order whose tracks are NaN.
+    special = np.array([-0.0, 5e-324, 1e17, -2.5e-310, 0.1, np.inf])
+    nan = np.full(6, np.nan)
+    reports = [
+        ExperimentReport(
+            model_name="noise_magnitude", seed=seed, steps=6, engine=monte_carlo(10),
+            orders=(1, 2), true_states=special * (seed + 1), measurements=-special,
+            means={1: special[::-1].copy(), 2: nan}, stds={1: np.abs(special), 2: nan},
+            rmse={1: 1.0, 2: float("nan")}, diverged_at={1: None, 2: 3}, runtime=0.0,
+        )
+        for seed in (0, 11)
+    ]
+    reports += run_experiment_batch("noise_magnitude", n_seeds=2, base_seed=3, steps=30)
+    write_report_csv(reports, 2, tmp_path / "fast.csv")
+    _reference_report_csv(reports, 2, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    text = (tmp_path / "fast.csv").read_text()
+    assert "-0.0" in text and "5e-324" in text and "1e+17" in text and ",nan," in text
 
 
 def test_summary_csv_layout(tmp_path):

@@ -401,6 +401,39 @@ def test_failing_lane_is_contained():
     assert exc.value.step == bad_step
 
 
+def test_failing_lane_in_a_seed_block_is_contained():
+    # A block of three seeds, each with its own measurements and point
+    # set, filtered as six lanes of one pass. The cubic feature turns
+    # non-finite at one measurement that only seed 1 observes, so only
+    # that lane breaks, at that step; every other lane matches its solo
+    # run bit for bit.
+    model, prior = make_noise_magnitude_model()
+    engines = [monte_carlo(sample_count=600, seed=s) for s in range(3)]
+    meas = np.stack([simulate(model, prior.mean, 25, seed=s)[1] for s in range(3)])
+    base = make_monomial_feature(1, 3)
+    bad_seed, bad_step = 1, 13
+    poisoned = FeatureFunction(
+        name="poisoned",
+        out_dim=base.out_dim,
+        map=lambda y: np.where(y == meas[bad_seed, bad_step], np.nan, base.map(y)),
+    )
+    affine = make_affine_feature(1)
+    block = fgfilter.filters._filter_pass(
+        model, prior, (affine, poisoned), engines, meas, False
+    )
+    assert [lanes.diverged_at for lanes in block] == [(None, None), (None, bad_step), (None, None)]
+    err = block[bad_seed].errors[1]
+    assert isinstance(err, NumericsError) and err.step == bad_step
+    assert f"step {bad_step}" in str(err)
+    assert np.all(np.isnan(block[bad_seed].means[1, bad_step:]))
+    for s, lanes in enumerate(block):
+        for lane, feature in enumerate((affine, base)):
+            n = bad_step if (s, lane) == (bad_seed, 1) else 25
+            solo = run_filter(model, prior, feature, engines[s], meas[s, :n])
+            assert np.array_equal(lanes.means[lane, :n], [b.mean for b in solo])
+            assert np.array_equal(lanes.covs[lane, :n], [b.cov for b in solo])
+
+
 @pytest.mark.parametrize("dx", [1, 2])
 def test_non_finite_fit_is_reported_as_non_finite(dx):
     # Near 1e160 the raw second moment E[x^2] overflows while the

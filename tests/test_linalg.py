@@ -140,13 +140,16 @@ def test_ensure_psd_scalar_paths():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_clip_psd_reports_non_finite_input(bad):
-    # The filter's fit calls the clip kernel directly: a NaN variance is
-    # not "negative", and a 2x2 matrix holding NaN or inf does not come
-    # back as a NaN matrix.
+    # The filter's fit calls the stacked clip kernel directly: a NaN
+    # variance is not "negative", and a 2x2 matrix holding NaN or inf is
+    # reported, not passed back as a NaN matrix. A finite neighbour in
+    # the stack is clipped as on its own.
     for mat in (np.array([[bad]]), np.array([[1.0, bad], [bad, 2.0]])):
-        for scale in (None, 1.0):
-            with pytest.raises(NumericsError, match="non-finite"):
-                _clip_psd(mat, scale)
+        good = np.eye(mat.shape[0])
+        for scale in (None, np.ones(2)):
+            out, problems, _ = _clip_psd(np.stack([good, mat]), scale)
+            assert list(problems) == [1] and "non-finite" in problems[1]
+            assert np.array_equal(out[0], good)
         with pytest.raises(NumericsError, match="non-finite"):
             ensure_psd(mat)
 
