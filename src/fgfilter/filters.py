@@ -567,27 +567,20 @@ def run_filter_lanes(
 
 def _lane_layout(live, n_feat, obs_sets, proc_sets):
     # The live lanes (sorted lane numbers, seed-major) as runs of one
-    # seed, (start, stop, observation points, tiled observation noises),
-    # over their positions; as prediction runs, (start, stop, tiled
-    # process points or None for a declared affine process), one per
-    # distinct process point set; and as groups of one feature,
-    # {feature: (positions, seeds, count)}. ``slot[j]`` is position j's
-    # index within its group. While every lane is live, positions and
-    # seeds are slices, which index for free. Every lane of a seed sees
-    # the same noise draws.
+    # seed, (start, stop, observation points, tiled observation noises,
+    # tiled process points or None for a declared affine process), over
+    # their positions, and as groups of one feature, {feature: (positions,
+    # seeds, count)}; ``slot[j]`` is position j's index within its group.
+    # While every lane is live, positions and seeds are slices, which
+    # index for free. Every lane of a seed sees the same noise draws.
     seed_of, feat_of = np.divmod(live, n_feat)
     starts = np.flatnonzero(np.r_[True, seed_of[1:] != seed_of[:-1]]).tolist()
-    runs, pruns = [], []
+    runs = []
     for a, b in zip(starts, starts[1:] + [live.size]):
-        points = obs_sets[seed_of[a]]
-        runs.append((a, b, points, np.tile(points.noises, (b - a, 1))))
-        pruns.append((a, b, proc_sets[seed_of[a]]))
-    if len({id(proc) for _, _, proc in pruns}) == 1:
-        pruns = [(0, live.size, pruns[0][2])]
-    pruns = [
-        (a, b, proc if proc is None else replace(proc, noises=np.tile(proc.noises, (b - a, 1))))
-        for a, b, proc in pruns
-    ]
+        points, proc = obs_sets[seed_of[a]], proc_sets[seed_of[a]]
+        if proc is not None:
+            proc = replace(proc, noises=np.tile(proc.noises, (b - a, 1)))
+        runs.append((a, b, points, np.tile(points.noises, (b - a, 1)), proc))
     full = live.size == len(obs_sets) * n_feat
     groups, slot = {}, np.zeros(live.size, dtype=int)
     for f in range(n_feat):
@@ -597,7 +590,7 @@ def _lane_layout(live, n_feat, obs_sets, proc_sets):
             index = (slice(f, None, n_feat), slice(None)) if full else (pos, seed_of[pos])
             groups[f] = (*index, pos.size)
     lanes = slice(None) if full else live
-    return runs, pruns, groups, feat_of.tolist(), slot.tolist(), lanes
+    return runs, groups, feat_of.tolist(), slot.tolist(), lanes
 
 
 def _scatter_scale(groups, raws, n_lanes, dx):
@@ -653,7 +646,7 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
     for t in range(steps):
         if layout is None:
             layout = _lane_layout(live, n_feat, obs_sets, proc_sets)
-            runs, pruns, groups, feat_of, slot, lanes = layout
+            runs, groups, feat_of, slot, lanes = layout
             # Per feature, the raw moments and gains of its lanes, one stack
             # each, and the fit's outputs: buffers kept while no lane drops.
             raws, gammas = {}, {}
@@ -663,23 +656,26 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
             resid, fitted = np.empty_like(cov), np.empty_like(mean)
         maps = plain if t else checked
         failed: dict[int, object] = {}
-        predicted = []
-        for a, b, proc in pruns:
-            given = None if post_roots is None else post_roots[a:b]
-            try:
-                predicted.append(_predicted(model, proc, mean[a:b], cov[a:b], given))
-            except NumericsError as err:
-                failed.update(dict.fromkeys(range(a, b), err))
-                predicted.append((mean[a:b], cov[a:b]))
-        if len(predicted) == 1:
-            pmean, pcov = predicted[0]
+        if model.affine_process is not None:
+            pmean, pcov = _predicted(model, None, mean, cov)
         else:
-            pmean, pcov = (np.concatenate(part) for part in zip(*predicted))
+            predicted = []
+            for a, b, _, _, proc in runs:
+                given = None if post_roots is None else post_roots[a:b]
+                try:
+                    predicted.append(_predicted(model, proc, mean[a:b], cov[a:b], given))
+                except NumericsError as err:
+                    failed.update(dict.fromkeys(range(a, b), err))
+                    predicted.append((mean[a:b], cov[a:b]))
+            if len(predicted) == 1:
+                pmean, pcov = predicted[0]
+            else:
+                pmean, pcov = (np.concatenate(part) for part in zip(*predicted))
         roots, psd = _psd_roots(pcov)
         psd = psd.tolist()
         if any(rescale):
             shift, spread = np.zeros((live.size, dy)), np.full((live.size, dy), 1.0)
-        for a, b, points, noises in runs:
+        for a, b, points, noises, _ in runs:
             if a in failed:
                 continue
             states = _place(points, pmean[a:b], roots[a:b])
@@ -712,7 +708,7 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
                 phi = phi_obs[f][seeds, t]
             mean[pos] = (gammas[f] @ phi[:, :, None])[:, :, 0]
         cov, problems, post_roots = _clip_psd(
-            resid, partial(_scatter_scale, groups, raws, live.size, dx), pruns[0][2] is not None
+            resid, partial(_scatter_scale, groups, raws, live.size, dx), model.affine_process is None
         )
         for j, problem in problems.items():
             failed.setdefault(j, problem)
