@@ -14,8 +14,8 @@ Three subcommands:
         Score feature orders by the grid KL objective; writes
         kl_<model>.csv.
 
-Exit codes: 0 on success, 1 on usage or configuration errors, 2 on
-numerical failure.
+Exit codes: 0 on success, 1 on usage or configuration errors (a config
+key the subcommand does not read is one), 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from pathlib import Path
 
 from ._linalg import NumericsError
 from .config import (
+    KNOWN_KEYS,
     MODEL_NAMES,
     _get,
     _model_kwargs,
@@ -56,6 +57,17 @@ __all__ = ["cli_main", "main"]
 # Per-model default: the feature order that makes the measurement
 # informative.
 _DEFAULT_ORDER = {"noise_magnitude": 2, "heaviside": 3}
+
+# The config keys each subcommand reads. Any other key that is set exits
+# 1 rather than being silently ignored.
+_SHARED_KEYS = {k for k in KNOWN_KEYS if k.startswith("model.")} | {"run.seed", "run.out"}
+_COMMAND_KEYS = {
+    "simulate": _SHARED_KEYS
+    | {k for k in KNOWN_KEYS if k.startswith("engine.")}
+    | {"feature.standardize", "run.steps", "run.seeds", "run.orders"},
+    "density": _SHARED_KEYS | {"feature.order"},
+    "kl": _SHARED_KEYS | {"run.orders"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,6 +119,11 @@ def _parse_range(raw: str, label: str) -> tuple[float, float]:
 
 def _resolve(args) -> dict:
     cfg = load_config(args.config) if args.config else {}
+    for key in cfg:
+        if key not in _COMMAND_KEYS[args.command]:
+            raise ValueError(
+                f"config key {key!r} does not apply to subcommand {args.command!r}"
+            )
     model, prior = model_from_config(cfg, getattr(args, "model", None))
     out_dir = Path(args.out if args.out is not None else cfg.get("run.out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,7 +23,8 @@ and grouped by prefix. Recognized keys:
 
 Unknown keys, model.* keys the selected model does not take and
 engine.* keys the selected engine kind ignores are rejected, so typos
-fail loudly. Every model.* value must be finite.
+fail loudly; the CLI also rejects a key its subcommand does not read.
+Every model.* value must be finite.
 """
 
 from __future__ import annotations

@@ -26,6 +26,10 @@ seed with its own measurements and point set. :func:`run_filter` is the
 one-lane case, and the stage functions (:func:`predict`,
 :func:`joint_moments`, :func:`fgf_solve`) call the same kernels with a
 batch of one.
+
+The pass fixes its lane layout once. A lane that fails keeps its place
+and is parked at the prior after every step, so it never feeds a
+non-finite value to the lanes it shares kernels with.
 """
 
 from __future__ import annotations
@@ -565,108 +569,72 @@ def run_filter_lanes(
     return _filter_pass(model, prior, features, [engine], ys[None], standardize)[0]
 
 
-def _lane_layout(live, n_feat, obs_sets, proc_sets):
-    # The live lanes (sorted lane numbers, seed-major) as runs of one
-    # seed, (start, stop, observation points, tiled observation noises,
-    # tiled process points or None for a declared affine process), over
-    # their positions, and as groups of one feature, {feature: (positions,
-    # seeds, count)}; ``slot[j]`` is position j's index within its group.
-    # While every lane is live, positions and seeds are slices, which
-    # index for free. Every lane of a seed sees the same noise draws.
-    seed_of, feat_of = np.divmod(live, n_feat)
-    starts = np.flatnonzero(np.r_[True, seed_of[1:] != seed_of[:-1]]).tolist()
-    runs = []
-    for a, b in zip(starts, starts[1:] + [live.size]):
-        points, proc = obs_sets[seed_of[a]], proc_sets[seed_of[a]]
-        if proc is not None:
-            proc = replace(proc, noises=np.tile(proc.noises, (b - a, 1)))
-        runs.append((a, b, points, np.tile(points.noises, (b - a, 1)), proc))
-    full = live.size == len(obs_sets) * n_feat
-    groups, slot = {}, np.zeros(live.size, dtype=int)
-    for f in range(n_feat):
-        pos = np.flatnonzero(feat_of == f)
-        if pos.size:
-            slot[pos] = np.arange(pos.size)
-            index = (slice(f, None, n_feat), slice(None)) if full else (pos, seed_of[pos])
-            groups[f] = (*index, pos.size)
-    lanes = slice(None) if full else live
-    return runs, groups, feat_of.tolist(), slot.tolist(), lanes
-
-
-def _scatter_scale(groups, raws, n_lanes, dx):
-    # _fit_scale of every live lane, gathered from its feature's stack.
-    scale = np.empty(n_lanes)
-    for f, (pos, _, _) in groups.items():
-        scale[pos] = _fit_scale(raws[f], dx)
-    return scale
-
-
 # Non-finite values are screened once per step and reported as
 # NumericsError, so numpy's warnings on the way there are noise.
 @np.errstate(invalid="ignore", over="ignore")
 def _filter_pass(model, prior, features, engines, ys, standardize):
     # Filter the measurement sequences ys (seeds, steps, meas_dim), seed s
     # under engines[s], with one lane per (seed, feature), and return one
-    # FilterLanes per seed. Each seed keeps its own point set, so the point
+    # FilterLanes per seed. For the whole pass, seed s owns lanes
+    # s*n_feat:(s+1)*n_feat and feature f owns lanes f::n_feat. The point
     # kernels (placing, the observation map, the feature maps, the moment
-    # sums) run per seed over that seed's lanes, on cache-sized arrays.
-    # The small algebra runs once per step over every live lane: the
-    # prediction, the covariance roots, the fit's residual and clip, the
-    # mean update and the non-finite screen. Only the Gram solve runs per
-    # lane. Live lanes stay compacted, seed-major, so a seed's lanes are
-    # one run of positions.
+    # sums) run per seed, on its own cache-sized point set; the small
+    # algebra runs over every lane at once; only the Gram solve runs per
+    # lane. A failed lane's fit is skipped, its raw moments and gain stay
+    # zero, and after each step it is parked at the prior, so its
+    # prediction and observation repeat step 0's, which succeeded for its
+    # seed: it never feeds a non-finite value to the model or the kernels.
     n_seeds, steps, dy = ys.shape
     n_feat, dx = len(features), model.state_dim
-    means = np.full((n_seeds, n_feat, steps, dx), np.nan)
-    covs = np.full((n_seeds, n_feat, steps, dx, dx), np.nan)
-    errors: list[NumericsError | None] = [None] * (n_seeds * n_feat)
+    n_lanes = n_seeds * n_feat
+    means = np.full((n_lanes, steps, dx), np.nan)
+    covs = np.full((n_lanes, steps, dx, dx), np.nan)
+    errors: list[NumericsError | None] = [None] * n_lanes
+    dead = [False] * n_lanes
     rescale = [standardize and f.out_dim > dy + 1 for f in features]
     # Lanes with raw feature inputs map every observation at once.
     phi_obs = [
         None if r or not steps else _feature_values(f, ys) for f, r in zip(features, rescale)
     ]
-    # One point set per distinct engine: seeds under one engine share its draws.
-    sets = {
-        engine: (_unit_points(engine, dx, model.obs_noise_dim), _process_points(model, engine))
-        for engine in dict.fromkeys(engines)
-    }
-    obs_sets, proc_sets = zip(*(sets[engine] for engine in engines))
-    flat_means = means.reshape(n_seeds * n_feat, steps, dx)
-    flat_covs = covs.reshape(n_seeds * n_feat, steps, dx, dx)
-    live = np.arange(n_seeds * n_feat)
-    mean = np.repeat(prior.mean[None], live.size, axis=0)
-    cov = np.repeat(prior.cov[None], live.size, axis=0)
+    # One point set per distinct engine, its noises tiled once per lane of
+    # a seed: seeds under one engine share its draws.
+    sets = {}
+    for engine in dict.fromkeys(engines):
+        points = _unit_points(engine, dx, model.obs_noise_dim)
+        proc = _process_points(model, engine)
+        if proc is not None:
+            proc = replace(proc, noises=np.tile(proc.noises, (n_feat, 1)))
+        sets[engine] = (points, np.tile(points.noises, (n_feat, 1)), proc)
+    seeds = [(slice(s * n_feat, (s + 1) * n_feat), *sets[e]) for s, e in enumerate(engines)]
+    mean = np.repeat(prior.mean[None], n_lanes, axis=0)
+    cov = np.repeat(prior.cov[None], n_lanes, axis=0)
     # The posteriors' square roots, where the clip's screen yields them,
     # so the point-based prediction skips one eigendecomposition.
     post_roots = None
-    layout = None
+    # Per feature, the raw moments and gains of its lanes, one row per seed.
+    raws = [np.zeros((n_seeds, dx + f.out_dim, dx + f.out_dim)) for f in features]
+    gammas = [np.zeros((n_seeds, dx, f.out_dim)) for f in features]
+    resid, fitted = np.empty_like(cov), np.empty_like(mean)
     # The features' output contract is checked on the first step.
     checked = [partial(_feature_values, f) for f in features]
     plain = [f.map for f in features]
     for t in range(steps):
-        if layout is None:
-            layout = _lane_layout(live, n_feat, obs_sets, proc_sets)
-            runs, groups, feat_of, slot, lanes = layout
-            # Per feature, the raw moments and gains of its lanes, one stack
-            # each, and the fit's outputs: buffers kept while no lane drops.
-            raws, gammas = {}, {}
-            for f, (_, _, count) in groups.items():
-                k = features[f].out_dim
-                raws[f], gammas[f] = np.zeros((count, dx + k, dx + k)), np.zeros((count, dx, k))
-            resid, fitted = np.empty_like(cov), np.empty_like(mean)
         maps = plain if t else checked
         failed: dict[int, object] = {}
         if model.affine_process is not None:
             pmean, pcov = _predicted(model, None, mean, cov)
         else:
             predicted = []
-            for a, b, _, _, proc in runs:
-                given = None if post_roots is None else post_roots[a:b]
-                try:
-                    predicted.append(_predicted(model, proc, mean[a:b], cov[a:b], given))
-                except NumericsError as err:
-                    failed.update(dict.fromkeys(range(a, b), err))
-                    predicted.append((mean[a:b], cov[a:b]))
+            for lanes, _, _, proc in seeds:
+                # A seed with no lane left keeps its parked beliefs.
+                part = mean[lanes], cov[lanes]
+                if not all(dead[lanes]):
+                    given = None if post_roots is None else post_roots[lanes]
+                    try:
+                        part = _predicted(model, proc, *part, given)
+                    except NumericsError as err:
+                        failed.update(dict.fromkeys(range(lanes.start, lanes.stop), err))
+                predicted.append(part)
             if len(predicted) == 1:
                 pmean, pcov = predicted[0]
             else:
@@ -674,41 +642,46 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
         roots, psd = _psd_roots(pcov)
         psd = psd.tolist()
         if any(rescale):
-            shift, spread = np.zeros((live.size, dy)), np.full((live.size, dy), 1.0)
-        for a, b, points, noises, _ in runs:
-            if a in failed:
+            shift, spread = np.zeros((n_lanes, dy)), np.full((n_lanes, dy), 1.0)
+        for s, (lanes, points, noises, _) in enumerate(seeds):
+            if lanes.start in failed or all(dead[lanes]):
                 continue
-            states = _place(points, pmean[a:b], roots[a:b])
+            states = _place(points, pmean[lanes], roots[lanes])
             try:
                 obs = _map_points(model.observe, states, noises, dy, "observation map")
             except NumericsError as err:
-                failed.update(dict.fromkeys(range(a, b), err))
+                failed.update(dict.fromkeys(range(lanes.start, lanes.stop), err))
                 continue
             if any(rescale):
-                shift[a:b], spread[a:b] = _input_spread(obs, points.weights)
-            for j in range(a, b):
+                shift[lanes], spread[lanes] = _input_spread(obs, points.weights)
+            for f in range(n_feat):
+                j = lanes.start + f
+                if dead[j]:
+                    continue
                 if not psd[j]:
                     failed[j] = "predicted covariance is non-finite or indefinite"
                     continue
-                f = feat_of[j]
-                y = obs[j - a].T
+                y = obs[f].T
                 try:
                     phis = maps[f]((y - shift[j]) / spread[j] if rescale[f] else y)
-                    raw = _raw_moments(_stack(states[j - a], phis), points.weights)
-                    raws[f][slot[j]] = raw
-                    gammas[f][slot[j]] = _gain(raw, dx)
+                    raw = _raw_moments(_stack(states[f], phis), points.weights)
+                    raws[f][s] = raw
+                    gammas[f][s] = _gain(raw, dx)
                 except NumericsError as err:
                     failed[j] = err
         mean = fitted
-        for f, (pos, seeds, _) in groups.items():
-            resid[pos] = _residual(raws[f], gammas[f])
+        for f in range(n_feat):
+            group = slice(f, None, n_feat)
+            resid[group] = _residual(raws[f], gammas[f])
             if rescale[f]:
-                phi = maps[f]((ys[seeds, t] - shift[pos]) / spread[pos])
+                phi = maps[f]((ys[:, t] - shift[group]) / spread[group])
             else:
-                phi = phi_obs[f][seeds, t]
-            mean[pos] = (gammas[f] @ phi[:, :, None])[:, :, 0]
+                phi = phi_obs[f][:, t]
+            mean[group] = (gammas[f] @ phi[:, :, None])[:, :, 0]
         cov, problems, post_roots = _clip_psd(
-            resid, partial(_scatter_scale, groups, raws, live.size, dx), model.affine_process is None
+            resid,
+            lambda: np.stack([_fit_scale(raw, dx) for raw in raws], axis=1).ravel(),
+            model.affine_process is None,
         )
         for j, problem in problems.items():
             failed.setdefault(j, problem)
@@ -717,24 +690,27 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
         if not finite.all():
             for j in np.flatnonzero(~finite).tolist():
                 failed.setdefault(j, "posterior moments are non-finite")
-        if failed:
-            for j, err in failed.items():
-                errors[live[j]] = _step_error(t, err)
-            keep = np.ones(live.size, dtype=bool)
-            keep[list(failed)] = False
-            live, mean, cov = live[keep], mean[keep], cov[keep]
+        means[:, t] = mean
+        covs[:, t] = cov
+        for j, err in failed.items():
+            if not dead[j]:
+                dead[j] = True
+                errors[j] = _step_error(t, err)
+                s, f = divmod(j, n_feat)
+                raws[f][s] = 0.0
+                gammas[f][s] = 0.0
+        if any(dead):
+            if all(dead):
+                break
+            mean[dead], cov[dead] = prior.mean, prior.cov
             post_roots = None
-            layout, lanes = None, live
-        flat_means[lanes, t] = mean
-        flat_covs[lanes, t] = cov
-        if not live.size:
-            break
+    for j, err in enumerate(errors):
+        if err is not None:
+            means[j, err.step :] = np.nan
+            covs[j, err.step :] = np.nan
     means.setflags(write=False)
     covs.setflags(write=False)
-    return [
-        FilterLanes(means[s], covs[s], tuple(errors[s * n_feat : (s + 1) * n_feat]))
-        for s in range(n_seeds)
-    ]
+    return [FilterLanes(means[lanes], covs[lanes], tuple(errors[lanes])) for lanes, *_ in seeds]
 
 
 def run_filter(

@@ -293,6 +293,37 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):
 
 
 @pytest.mark.parametrize(
+    "command, line",
+    [
+        ("simulate", "feature.order = 7"),
+        *[
+            (command, line)
+            for command in ("density", "kl")
+            for line in (
+                "engine.kind = sigma_point",
+                "engine.samples = 300",
+                "engine.seed = 3",
+                "feature.standardize = yes",
+                "run.steps = 10",
+                "run.seeds = 3",
+            )
+        ],
+        ("density", "run.orders = 1,2"),
+        ("kl", "feature.order = 2"),
+    ],
+)
+def test_config_key_the_subcommand_ignores_exits_one(tmp_path, capsys, command, line):
+    cfg = _write_config(tmp_path, f"model.name = noise_magnitude\n{line}\n")
+    out = tmp_path / "o"
+    rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert f"config key {key!r} does not apply to subcommand {command!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "name, line",
     [("heaviside", "model.noise_scale = 7"), ("noise_magnitude", "model.step_height = 7")],
 )

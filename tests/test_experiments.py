@@ -140,18 +140,40 @@ def _assert_same_report(got, want):
 SOLO = {"noise_magnitude": run_noise_experiment, "heaviside": run_heaviside_experiment}
 
 
-@pytest.mark.parametrize("model_name", sorted(SOLO))
-@pytest.mark.parametrize("budget", [None, 2 * 2 * 5000])
-def test_batch_reports_equal_solo_runs(monkeypatch, model_name, budget):
+@pytest.mark.parametrize(
+    "model_name, budget, batch",
+    [
+        pytest.param(name, budget, {}, id=f"{budget}-{name}")
+        for budget in (None, 2 * 2 * 5000)
+        for name in sorted(SOLO)
+    ]
+    + [
+        # At 200 draws seed 3's orders 3 and 4 diverge at steps 175 and
+        # 10, while the other lanes of its block run on.
+        pytest.param(
+            "heaviside",
+            None,
+            {"n_seeds": 8, "base_seed": 0, "steps": 200,
+             "engine": monte_carlo(200, seed=3), "orders": (2, 3, 4)},
+            id="mid_block_failure-heaviside",
+        )
+    ],
+)
+def test_batch_reports_equal_solo_runs(monkeypatch, model_name, budget, batch):
     # With a small point budget the five seeds run in three blocks of at
     # most two; with the default budget, in one block. Either way each
-    # seed's report is its single-seed run, bit for bit.
+    # seed's report is its single-seed run, bit for bit, also where some
+    # lanes of the block fail.
     if budget is not None:
         monkeypatch.setattr(experiments, "_BLOCK_POINTS", budget)
-    reports = run_experiment_batch(model_name, n_seeds=5, base_seed=20, steps=40)
-    assert [r.seed for r in reports] == list(range(20, 25))
+    kwargs = {"n_seeds": 5, "base_seed": 20, "steps": 40, **batch}
+    n_seeds, base_seed = kwargs.pop("n_seeds"), kwargs.pop("base_seed")
+    reports = run_experiment_batch(model_name, n_seeds=n_seeds, base_seed=base_seed, **kwargs)
+    assert [r.seed for r in reports] == list(range(base_seed, base_seed + n_seeds))
+    if "orders" in batch:
+        assert any(at is not None for r in reports for at in r.diverged_at.values())
     for report in reports:
-        _assert_same_report(report, SOLO[model_name](steps=40, seed=report.seed))
+        _assert_same_report(report, SOLO[model_name](seed=report.seed, **kwargs))
 
 
 def test_batch_engines(monkeypatch):

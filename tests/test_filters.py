@@ -434,6 +434,45 @@ def test_failing_lane_in_a_seed_block_is_contained():
             assert np.array_equal(lanes.covs[lane, :n], [b.cov for b in solo])
 
 
+def test_failed_lane_is_parked_at_the_prior():
+    # A three-seed block on a 2-state model predicted through its points,
+    # so the dead lane rides along in the stacked eigh, the placement and
+    # the observation map after it fails. Its belief is parked at the
+    # prior, so the model never sees a non-finite state, and every other
+    # lane matches its solo run bit for bit.
+    model = undeclared(linear_ssm(random_linear_system(np.random.default_rng(3), 2, 1)))
+    prior = GaussianBelief(np.zeros(2), np.eye(2))
+
+    def observe(x, w):
+        if not np.isfinite(x).all():
+            raise ValueError("observe got a non-finite state")
+        return model.observe(x, w)
+
+    guarded = dataclasses.replace(model, observe=observe)
+    engines = [monte_carlo(sample_count=400, seed=s) for s in range(3)]
+    meas = np.stack([simulate(model, prior.mean, 25, seed=s)[1] for s in range(3)])
+    base = make_monomial_feature(1, 2)
+    bad_seed, bad_step = 1, 9
+    poisoned = FeatureFunction(
+        name="poisoned",
+        out_dim=base.out_dim,
+        map=lambda y: np.where(y == meas[bad_seed, bad_step], np.nan, base.map(y)),
+    )
+    affine = make_affine_feature(1)
+    block = fgfilter.filters._filter_pass(
+        guarded, prior, (affine, poisoned), engines, meas, False
+    )
+    assert [lanes.diverged_at for lanes in block] == [(None, None), (None, bad_step), (None, None)]
+    assert np.all(np.isnan(block[bad_seed].means[1, bad_step:]))
+    assert np.all(np.isnan(block[bad_seed].covs[1, bad_step:]))
+    for s, lanes in enumerate(block):
+        for lane, feature in enumerate((affine, base)):
+            n = bad_step if (s, lane) == (bad_seed, 1) else 25
+            solo = run_filter(guarded, prior, feature, engines[s], meas[s, :n])
+            assert np.array_equal(lanes.means[lane, :n], [b.mean for b in solo])
+            assert np.array_equal(lanes.covs[lane, :n], [b.cov for b in solo])
+
+
 @pytest.mark.parametrize("dx", [1, 2])
 def test_non_finite_fit_is_reported_as_non_finite(dx):
     # Near 1e160 the raw second moment E[x^2] overflows while the
