@@ -28,7 +28,6 @@ from pathlib import Path
 from ._linalg import NumericsError
 from .config import (
     KNOWN_KEYS,
-    MODEL_NAMES,
     _get,
     _model_kwargs,
     engine_from_config,
@@ -38,6 +37,7 @@ from .config import (
     parse_orders,
 )
 from .experiments import (
+    EXPERIMENTS,
     run_experiment_batch,
     write_report_csv,
     write_summary_csv,
@@ -53,10 +53,6 @@ from .gridoracle import (
 )
 
 __all__ = ["cli_main", "main"]
-
-# Per-model default: the feature order that makes the measurement
-# informative.
-_DEFAULT_ORDER = {"noise_magnitude": 2, "heaviside": 3}
 
 # The config keys each subcommand reads. Any other key that is set exits
 # 1 rather than being silently ignored.
@@ -78,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--model", choices=MODEL_NAMES, help="built-in model name")
+        p.add_argument("--model", choices=tuple(EXPERIMENTS), help="built-in model name")
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, help="base random seed")
         p.add_argument("--out", help="output directory (created if missing)")
@@ -142,8 +138,8 @@ def _cmd_simulate(args) -> int:
     cfg, model, out_dir = common["cfg"], common["model"], common["out"]
     steps = args.steps if args.steps is not None else _get(cfg, "run.steps", int, 1000)
     seeds = args.seeds if args.seeds is not None else _get(cfg, "run.seeds", int, 1)
-    orders = _orders(args, cfg, (_DEFAULT_ORDER[model.name],))
-    # Options left unset keep the experiment runner's defaults.
+    orders = _orders(args, cfg, (EXPERIMENTS[model.name].order,))
+    # Options left unset keep the experiment's defaults.
     options = _model_kwargs(cfg, model.name)
     if "feature.standardize" in cfg:
         options["standardize"] = _get(cfg, "feature.standardize", parse_bool, None)
@@ -201,11 +197,12 @@ def _cmd_density(args) -> int:
     )
     order = args.order
     if order is None:
-        order = _get(cfg, "feature.order", int, _DEFAULT_ORDER[model.name])
+        order = _get(cfg, "feature.order", int, EXPERIMENTS[model.name].order)
+    # Built before the grid work, so a bad order fails at once.
+    feature = make_monomial_feature(model.meas_dim, order)
     x_grid, y_grid = _grids_for(args, model, prior, common["seed"])
     joint = joint_density_grid(model, prior, x_grid, y_grid)
     affine = make_affine_feature(model.meas_dim)
-    feature = make_monomial_feature(model.meas_dim, order)
     params_gf = fgf_solve(grid_joint_moments(joint, affine))
     params_fgf = fgf_solve(grid_joint_moments(joint, feature))
     gf_means = affine.map(y_grid.values[:, None]) @ params_gf.gamma[0]

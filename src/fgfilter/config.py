@@ -21,23 +21,22 @@ and grouped by prefix. Recognized keys:
     run.orders          comma-separated ints
     run.out             output directory
 
-Unknown keys, model.* keys the selected model does not take and
-engine.* keys the selected engine kind ignores are rejected, so typos
-fail loudly; the CLI also rejects a key its subcommand does not read.
-Every model.* value must be finite.
+A built-in model is defined in one place, ``experiments.EXPERIMENTS``:
+its model.* keys are its factory's parameters, and its default feature
+order and standardization come from there too. Unknown keys, model.*
+keys the selected model does not take and engine.* keys the selected
+engine kind ignores are rejected, so typos fail loudly; the CLI also
+rejects a key its subcommand does not read. Every model.* value must be
+finite.
 """
 
 from __future__ import annotations
 
+import inspect
 from functools import partial
 
-from .models import (
-    GaussianBelief,
-    StateSpaceModel,
-    _model_param,
-    make_heaviside_model,
-    make_noise_magnitude_model,
-)
+from .experiments import EXPERIMENTS, _experiment
+from .models import GaussianBelief, StateSpaceModel, _model_param
 from .quadrature import ExpectationEngine
 
 __all__ = [
@@ -50,39 +49,24 @@ __all__ = [
     "engine_from_config",
 ]
 
-KNOWN_KEYS = frozenset(
-    {
-        "model.name",
-        "model.prior_mean",
-        "model.prior_var",
-        "model.noise_scale",
-        "model.step_height",
-        "engine.kind",
-        "engine.samples",
-        "engine.seed",
-        "engine.kappa",
-        "feature.order",
-        "feature.standardize",
-        "run.steps",
-        "run.seed",
-        "run.seeds",
-        "run.orders",
-        "run.out",
-    }
-)
-
 # The model.* keys each built-in model's factory takes, by parameter name.
 _MODEL_PARAMS = {
-    "noise_magnitude": ("prior_mean", "prior_var", "noise_scale"),
-    "heaviside": ("prior_mean", "prior_var", "step_height"),
+    name: tuple(inspect.signature(entry.factory).parameters)
+    for name, entry in EXPERIMENTS.items()
 }
-MODEL_NAMES = tuple(_MODEL_PARAMS)
 
 # The engine.* keys each engine kind takes: key suffix -> (keyword, type).
 _ENGINE_PARAMS = {
     "monte_carlo": {"samples": ("sample_count", int), "seed": ("seed", int)},
     "sigma_point": {"kappa": ("kappa", float)},
 }
+
+KNOWN_KEYS = frozenset(
+    {"model.name", "engine.kind", "feature.order", "feature.standardize"}
+    | {"run.steps", "run.seed", "run.seeds", "run.orders", "run.out"}
+    | {f"model.{param}" for params in _MODEL_PARAMS.values() for param in params}
+    | {f"engine.{suffix}" for params in _ENGINE_PARAMS.values() for suffix in params}
+)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -137,6 +121,8 @@ def parse_orders(raw: str) -> tuple[int, ...]:
         raise ValueError(f"orders must be comma-separated integers, got {raw!r}") from err
     if not orders or any(o < 1 for o in orders):
         raise ValueError(f"orders must be positive integers, got {raw!r}")
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"order {max(orders, key=orders.count)} is listed twice in {raw!r}")
     return orders
 
 
@@ -159,8 +145,6 @@ def _group_kwargs(cfg: dict[str, str], group: str, params: dict, what: str) -> d
 
 def _model_kwargs(cfg: dict[str, str], name: str) -> dict[str, float]:
     # Factory keyword arguments from the model.* keys that are set.
-    if name not in _MODEL_PARAMS:
-        raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
     params = {p: (p, partial(_model_param, p)) for p in _MODEL_PARAMS[name]}
     return _group_kwargs(cfg, "model", params, f"model {name!r}")
 
@@ -172,10 +156,8 @@ def model_from_config(
     name = name or cfg.get("model.name")
     if name is None:
         raise ValueError("no model selected: pass --model or set model.name")
-    kwargs = _model_kwargs(cfg, name)
-    if name == "heaviside":
-        return make_heaviside_model(**kwargs)
-    return make_noise_magnitude_model(**kwargs)
+    factory = _experiment(name).factory
+    return factory(**_model_kwargs(cfg, name))
 
 
 def engine_from_config(cfg: dict[str, str]) -> ExpectationEngine | None:

@@ -15,11 +15,11 @@ single-seed runners agree bit for bit. Everything is reproducible from
 from __future__ import annotations
 
 import csv
-import inspect
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .models import (
 from .quadrature import ExpectationEngine, _unit_points, monte_carlo
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentReport",
     "run_noise_experiment",
     "run_heaviside_experiment",
@@ -190,12 +192,35 @@ def _run_block(model, prior, steps, seeds, engines, features, orders_run, standa
     return reports
 
 
+class Experiment(NamedTuple):
+    """A built-in: its model factory, default feature order and standardize."""
+
+    factory: Callable[..., tuple[StateSpaceModel, GaussianBelief]]
+    order: int
+    standardize: bool
+
+
+# The one place a built-in experiment is defined.
+EXPERIMENTS: Mapping[str, Experiment] = MappingProxyType(
+    {
+        "noise_magnitude": Experiment(make_noise_magnitude_model, 2, False),
+        "heaviside": Experiment(make_heaviside_model, 3, True),
+    }
+)
+
+
+def _experiment(name: str) -> Experiment:
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown model {name!r}; known models: {', '.join(EXPERIMENTS)}")
+    return EXPERIMENTS[name]
+
+
 def run_noise_experiment(
     steps: int = 1000,
     seed: int = 0,
     engine: ExpectationEngine | None = None,
-    orders: Sequence[int] = (2,),
-    standardize: bool = False,
+    orders: Sequence[int] | None = None,
+    standardize: bool | None = None,
     **model_kwargs: float,
 ) -> ExperimentReport:
     """Track the drifting noise magnitude.
@@ -206,16 +231,17 @@ def run_noise_experiment(
     Model keyword arguments (``prior_mean``, ``prior_var``,
     ``noise_scale``) go to :func:`make_noise_magnitude_model`.
     """
-    model, prior = make_noise_magnitude_model(**model_kwargs)
-    return _run_tracking(model, prior, steps, [seed], engine, orders, standardize)[0]
+    return run_experiment_batch(
+        "noise_magnitude", 1, seed, steps, engine, orders, standardize, **model_kwargs
+    )[0]
 
 
 def run_heaviside_experiment(
     steps: int = 1000,
     seed: int = 0,
     engine: ExpectationEngine | None = None,
-    orders: Sequence[int] = (3,),
-    standardize: bool = True,
+    orders: Sequence[int] | None = None,
+    standardize: bool | None = None,
     **model_kwargs: float,
 ) -> ExperimentReport:
     """Track a random walk observed through a hard step.
@@ -227,55 +253,39 @@ def run_heaviside_experiment(
     ill-conditioned. Model keyword arguments (``prior_mean``,
     ``prior_var``, ``step_height``) go to :func:`make_heaviside_model`.
     """
-    model, prior = make_heaviside_model(**model_kwargs)
-    return _run_tracking(model, prior, steps, [seed], engine, orders, standardize)[0]
-
-
-_EXPERIMENTS = {
-    "noise_magnitude": run_noise_experiment,
-    "heaviside": run_heaviside_experiment,
-}
-
-# The model factory of each experiment, looked up in this module when a
-# batch runs.
-_FACTORIES = {
-    "noise_magnitude": "make_noise_magnitude_model",
-    "heaviside": "make_heaviside_model",
-}
+    return run_experiment_batch(
+        "heaviside", 1, seed, steps, engine, orders, standardize, **model_kwargs
+    )[0]
 
 
 def run_experiment_batch(
     model_name: str,
     n_seeds: int = 100,
     base_seed: int = 0,
-    **kwargs,
+    steps: int = 1000,
+    engine: ExpectationEngine | None = None,
+    orders: Sequence[int] | None = None,
+    standardize: bool | None = None,
+    **model_kwargs: float,
 ) -> list[ExperimentReport]:
     """Run one experiment over consecutive seeds base_seed..base_seed+n-1.
 
-    Keyword arguments and their defaults are those of the single-seed
-    runner. The seeds are filtered in blocks, each block as lanes of one
-    pass (seeds x orders) that shares the per-step algebra while every
-    seed keeps its own measurements and point set; each report equals
-    its single-seed run bit for bit. Reports come back ordered by seed;
-    a numerical failure stays inside its own seed and order, recorded in
-    that report, and does not abort the batch.
+    ``orders`` and ``standardize`` left as None take the experiment's
+    defaults in :data:`EXPERIMENTS`; model keyword arguments go to its
+    factory. The seeds are filtered in blocks, each block as lanes of one
+    pass (seeds x orders); a seed's report does not depend on its block.
+    Reports come back ordered by seed; a numerical failure stays inside
+    its own seed and order, recorded in that report, and does not abort
+    the batch.
     """
-    try:
-        runner = _EXPERIMENTS[model_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {model_name!r}; known: {sorted(_EXPERIMENTS)}"
-        ) from None
+    entry = _experiment(model_name)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
-    call = inspect.signature(runner).bind(seed=base_seed, **kwargs)
-    call.apply_defaults()
-    args = call.arguments
-    model, prior = globals()[_FACTORIES[model_name]](**args["model_kwargs"])
+    model, prior = entry.factory(**model_kwargs)
+    orders = (entry.order,) if orders is None else orders
+    standardize = entry.standardize if standardize is None else standardize
     seeds = range(base_seed, base_seed + n_seeds)
-    return _run_tracking(
-        model, prior, args["steps"], seeds, args["engine"], args["orders"], args["standardize"]
-    )
+    return _run_tracking(model, prior, steps, seeds, engine, orders, standardize)
 
 
 def _fmt(value) -> str:

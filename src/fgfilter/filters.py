@@ -599,8 +599,17 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
     # One point set per distinct engine, its noises tiled once per lane of
     # a seed: seeds under one engine share its draws.
     sets = {}
+    widest = max(f.out_dim for f in features)
     for engine in dict.fromkeys(engines):
         points = _unit_points(engine, dx, model.obs_noise_dim)
+        # A fit with no fewer outputs than support points interpolates
+        # them and leaves no residual variance.
+        support = np.count_nonzero(points.weights > 0)
+        if widest >= support:
+            raise ValueError(
+                f"{engine.kind} engine has {support} positively weighted points, "
+                f"too few for a feature with {widest} outputs"
+            )
         proc = _process_points(model, engine)
         if proc is not None:
             proc = replace(proc, noises=np.tile(proc.noises, (n_feat, 1)))

@@ -1,6 +1,7 @@
 """CLI tests driven in process through cli_main(argv)."""
 
 import csv
+import inspect
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fgfilter import GridDensity2D, Grid1D
 from fgfilter.cli import _write_density_csv, cli_main
+from fgfilter.experiments import EXPERIMENTS
 
 
 def _read_lines(path):
@@ -271,6 +273,7 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         ("simulate", "run.seeds = abc"),
         ("simulate", "run.seed = abc"),
         ("simulate", "run.orders = 1,abc"),
+        ("simulate", "run.orders = 2,2"),
         ("simulate", "feature.standardize = maybe"),
         ("density", "feature.order = abc"),
         # engine keys that the selected kind ignores
@@ -353,3 +356,47 @@ def test_simulate_passes_only_the_options_that_are_set(tmp_path, monkeypatch, ca
     capsys.readouterr()
     assert not {"prior_mean", "prior_var", "step_height", "standardize"} & set(seen[0])
     assert seen[1]["prior_var"] == 2.0 and seen[1]["standardize"] is False
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_each_built_in_runs_from_the_table(tmp_path, capsys, name):
+    entry = EXPERIMENTS[name]
+    # Every factory parameter is a model.* key, here set to its default.
+    params = inspect.signature(entry.factory).parameters.values()
+    lines = "".join(f"model.{p.name} = {p.default}\n" for p in params)
+    cfg = _write_config(tmp_path, f"model.name = {name}\n{lines}")
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg), "--steps", "3", "--out", str(out)]) == 0
+    written = sorted(path.name for path in out.iterdir())
+    assert written == [f"report_{name}_{entry.order}.csv", "summary.csv"]
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        assert {int(row["order"]) for row in csv.DictReader(fh)} == {1, entry.order}
+    capsys.readouterr()
+
+
+def test_too_few_sigma_points_for_the_cubic_exits_one(tmp_path, capsys):
+    # With kappa = 0 the centre weight is 0, so the cubic's four outputs
+    # would interpolate the four positively weighted points.
+    text = "model.name = heaviside\nengine.kind = sigma_point\n"
+    argv = ["simulate", "--steps", "3", "--out", str(tmp_path / "o")]
+    cfg = _write_config(tmp_path, text)
+    assert cli_main([*argv, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "sigma_point engine has 4 positively weighted points" in err
+    assert "4 outputs" in err
+    cfg = _write_config(tmp_path, text + "engine.kappa = 1\n")
+    assert cli_main([*argv, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, line", [(["--order", "0"], ""), ([], "feature.order = 0\n")])
+def test_density_checks_the_order_before_the_grid_work(
+    tmp_path, monkeypatch, capsys, flag, line
+):
+    calls = []
+    monkeypatch.setattr("fgfilter.cli.joint_density_grid", lambda *a, **k: calls.append(a))
+    cfg = _write_config(tmp_path, f"model.name = heaviside\n{line}")
+    argv = ["density", "--config", str(cfg), *flag, "--grid-n", "21"]
+    assert cli_main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert not calls
+    assert "order must be a positive integer, got 0" in capsys.readouterr().err

@@ -55,6 +55,10 @@ def test_parse_orders():
         parse_orders("1,a")
     with pytest.raises(ValueError):
         parse_orders("0,1")
+    with pytest.raises(ValueError, match="order 2 is listed twice"):
+        parse_orders("2,2")
+    with pytest.raises(ValueError, match="order 1 is listed twice"):
+        parse_orders("1,3,1")
 
 
 def test_model_from_config():

@@ -489,6 +489,28 @@ def test_non_finite_fit_is_reported_as_non_finite(dx):
     assert "non-finite" in message and "cannot be made PSD" in message
 
 
+@pytest.mark.parametrize(
+    "engine, order, accepted",
+    [
+        # kappa = 0 gives the centre point weight 0: four points carry weight.
+        (sigma_point(), 3, False),
+        (sigma_point(), 2, True),
+        (sigma_point(1.0), 3, True),
+        (monte_carlo(3, seed=0), 2, False),
+        (monte_carlo(4, seed=0), 2, True),
+    ],
+)
+def test_feature_needs_more_support_points_than_outputs(engine, order, accepted):
+    model, prior = make_heaviside_model()
+    features = [make_affine_feature(1), make_monomial_feature(1, order)]
+    args = (model, prior, features, engine, np.zeros((2, 1)))
+    if accepted:
+        assert run_filter_lanes(*args).means.shape == (2, 2, 1)
+        return
+    with pytest.raises(ValueError, match=f"{engine.kind} engine has .* {order + 1} outputs"):
+        run_filter_lanes(*args)
+
+
 def test_lanes_share_one_model_pass_per_step(monkeypatch):
     # With standardization on, one step calls the observation map once
     # for all lanes together: the feature scale and the joint moments
