@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=tuple(EXPERIMENTS), help="built-in model name")
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, help="base random seed")
-        p.add_argument("--out", help="output directory (created if missing)")
+        p.add_argument("--out", help="output directory (created at the first write)")
 
     p_sim = sub.add_parser("simulate", help="run the tracking experiment")
     common(p_sim)
@@ -122,7 +122,6 @@ def _resolve(args) -> dict:
             )
     model, prior = model_from_config(cfg, getattr(args, "model", None))
     out_dir = Path(args.out if args.out is not None else cfg.get("run.out", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else _get(cfg, "run.seed", int, 0)
     return {"cfg": cfg, "model": model, "prior": prior, "out": out_dir, "seed": seed}
 
@@ -152,6 +151,7 @@ def _cmd_simulate(args) -> int:
         orders=orders,
         **options,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     for order in orders:
         path = out_dir / f"report_{model.name}_{order}.csv"
         write_report_csv(reports, order, path)
@@ -208,6 +208,7 @@ def _cmd_density(args) -> int:
     gf_means = affine.map(y_grid.values[:, None]) @ params_gf.gamma[0]
     fgf_means = feature.map(y_grid.values[:, None]) @ params_fgf.gamma[0]
     path = out_dir / f"density_{model.name}.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_density_csv(path, joint, gf_means, fgf_means)
     print(f"wrote {path}")
     print(
@@ -259,6 +260,7 @@ def _cmd_kl(args) -> int:
         rows.append((order, value))
         print(f"order {order}: kl={value:.6f}")
     path = out_dir / f"kl_{model.name}.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "order", "kl"])

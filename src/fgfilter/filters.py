@@ -27,8 +27,9 @@ one-lane case, and the stage functions (:func:`predict`,
 :func:`joint_moments`, :func:`fgf_solve`) call the same kernels with a
 batch of one.
 
-The pass fixes its lane layout once. A lane that fails keeps its place
-and is parked at the prior after every step, so it never feeds a
+The pass fixes its lane layout once and screens each posterior once;
+:func:`run_filter` hands the posteriors out as they are. A lane that
+fails records its step and is parked at the prior, so it never feeds a
 non-finite value to the lanes it shares kernels with.
 """
 
@@ -51,7 +52,7 @@ from ._linalg import (
     ensure_psd,
     solve_psd,
 )
-from .models import GaussianBelief, StateSpaceModel
+from .models import GaussianBelief, StateSpaceModel, _owned
 from .quadrature import ExpectationEngine, PointSet, _place, _unit_points
 
 __all__ = [
@@ -518,13 +519,6 @@ class FilterLanes:
         return tuple(None if err is None else err.step for err in self.errors)
 
 
-def _step_error(t: int, err) -> NumericsError:
-    out = NumericsError(f"filter failed at step {t}: {err}", step=t)
-    if isinstance(err, BaseException):
-        out.__cause__ = err
-    return out
-
-
 def run_filter_lanes(
     model: StateSpaceModel,
     prior: GaussianBelief,
@@ -580,10 +574,12 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
     # kernels (placing, the observation map, the feature maps, the moment
     # sums) run per seed, on its own cache-sized point set; the small
     # algebra runs over every lane at once; only the Gram solve runs per
-    # lane. A failed lane's fit is skipped, its raw moments and gain stay
-    # zero, and after each step it is parked at the prior, so its
-    # prediction and observation repeat step 0's, which succeeded for its
-    # seed: it never feeds a non-finite value to the model or the kernels.
+    # lane. Each failure goes through fail, which records the lane's first
+    # error and stops it at once: its raw moments and gain stay zero, and
+    # after each step it is parked at the prior, so its prediction and
+    # observation repeat step 0's, which succeeded for its seed: it never
+    # feeds a non-finite value to the model or the kernels. The PSD clip
+    # and the finite screen below are the one screen of each posterior.
     n_seeds, steps, dy = ys.shape
     n_feat, dx = len(features), model.state_dim
     n_lanes = n_seeds * n_feat
@@ -592,10 +588,6 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
     errors: list[NumericsError | None] = [None] * n_lanes
     dead = [False] * n_lanes
     rescale = [standardize and f.out_dim > dy + 1 for f in features]
-    # Lanes with raw feature inputs map every observation at once.
-    phi_obs = [
-        None if r or not steps else _feature_values(f, ys) for f, r in zip(features, rescale)
-    ]
     # One point set per distinct engine, its noises tiled once per lane of
     # a seed: seeds under one engine share its draws.
     sets = {}
@@ -624,42 +616,53 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
     raws = [np.zeros((n_seeds, dx + f.out_dim, dx + f.out_dim)) for f in features]
     gammas = [np.zeros((n_seeds, dx, f.out_dim)) for f in features]
     resid, fitted = np.empty_like(cov), np.empty_like(mean)
+    # Per lane, the standardization of its feature inputs.
+    shift, spread = np.zeros((n_lanes, dy)), np.ones((n_lanes, dy))
     # The features' output contract is checked on the first step.
     checked = [partial(_feature_values, f) for f in features]
     plain = [f.map for f in features]
+
+    def feature(f, y, lanes):
+        # Feature f of measurements y, the points' or the observed ones.
+        return maps[f]((y - shift[lanes]) / spread[lanes] if rescale[f] else y)
+
+    def fail(lanes, err):
+        for j in lanes:
+            if not dead[j]:
+                dead[j] = True
+                errors[j] = NumericsError(f"filter failed at step {t}: {err}", step=t)
+                if isinstance(err, BaseException):
+                    errors[j].__cause__ = err
+                s, f = divmod(j, n_feat)
+                raws[f][s] = gammas[f][s] = 0.0
+
     for t in range(steps):
         maps = plain if t else checked
-        failed: dict[int, object] = {}
         if model.affine_process is not None:
             pmean, pcov = _predicted(model, None, mean, cov)
         else:
-            predicted = []
-            for lanes, _, _, proc in seeds:
-                # A seed with no lane left keeps its parked beliefs.
-                part = mean[lanes], cov[lanes]
-                if not all(dead[lanes]):
-                    given = None if post_roots is None else post_roots[lanes]
-                    try:
-                        part = _predicted(model, proc, *part, given)
-                    except NumericsError as err:
-                        failed.update(dict.fromkeys(range(lanes.start, lanes.stop), err))
-                predicted.append(part)
-            if len(predicted) == 1:
-                pmean, pcov = predicted[0]
-            else:
-                pmean, pcov = (np.concatenate(part) for part in zip(*predicted))
+            # A seed with no lane left keeps its parked beliefs.
+            pmean, pcov = mean.copy(), cov.copy()
+            for lanes, *_, proc in seeds:
+                if all(dead[lanes]):
+                    continue
+                given = None if post_roots is None else post_roots[lanes]
+                try:
+                    pmean[lanes], pcov[lanes] = _predicted(
+                        model, proc, mean[lanes], cov[lanes], given
+                    )
+                except NumericsError as err:
+                    fail(range(lanes.start, lanes.stop), err)
         roots, psd = _psd_roots(pcov)
         psd = psd.tolist()
-        if any(rescale):
-            shift, spread = np.zeros((n_lanes, dy)), np.full((n_lanes, dy), 1.0)
         for s, (lanes, points, noises, _) in enumerate(seeds):
-            if lanes.start in failed or all(dead[lanes]):
+            if all(dead[lanes]):
                 continue
             states = _place(points, pmean[lanes], roots[lanes])
             try:
                 obs = _map_points(model.observe, states, noises, dy, "observation map")
             except NumericsError as err:
-                failed.update(dict.fromkeys(range(lanes.start, lanes.stop), err))
+                fail(range(lanes.start, lanes.stop), err)
                 continue
             if any(rescale):
                 shift[lanes], spread[lanes] = _input_spread(obs, points.weights)
@@ -668,24 +671,20 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
                 if dead[j]:
                     continue
                 if not psd[j]:
-                    failed[j] = "predicted covariance is non-finite or indefinite"
+                    fail([j], "predicted covariance is non-finite or indefinite")
                     continue
-                y = obs[f].T
                 try:
-                    phis = maps[f]((y - shift[j]) / spread[j] if rescale[f] else y)
+                    phis = feature(f, obs[f].T, j)
                     raw = _raw_moments(_stack(states[f], phis), points.weights)
                     raws[f][s] = raw
                     gammas[f][s] = _gain(raw, dx)
                 except NumericsError as err:
-                    failed[j] = err
+                    fail([j], err)
         mean = fitted
         for f in range(n_feat):
             group = slice(f, None, n_feat)
             resid[group] = _residual(raws[f], gammas[f])
-            if rescale[f]:
-                phi = maps[f]((ys[:, t] - shift[group]) / spread[group])
-            else:
-                phi = phi_obs[f][:, t]
+            phi = feature(f, ys[:, t], group)
             mean[group] = (gammas[f] @ phi[:, :, None])[:, :, 0]
         cov, problems, post_roots = _clip_psd(
             resid,
@@ -693,30 +692,18 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
             model.affine_process is None,
         )
         for j, problem in problems.items():
-            failed.setdefault(j, problem)
+            fail([j], problem)
         # The step's one non-finite screen, over every lane's posterior.
         finite = np.isfinite(mean.sum(axis=1) + cov.sum(axis=(1, 2)))
-        if not finite.all():
-            for j in np.flatnonzero(~finite).tolist():
-                failed.setdefault(j, "posterior moments are non-finite")
-        means[:, t] = mean
-        covs[:, t] = cov
-        for j, err in failed.items():
-            if not dead[j]:
-                dead[j] = True
-                errors[j] = _step_error(t, err)
-                s, f = divmod(j, n_feat)
-                raws[f][s] = 0.0
-                gammas[f][s] = 0.0
+        fail(np.flatnonzero(~finite).tolist(), "posterior moments are non-finite")
+        means[:, t], covs[:, t] = mean, cov
         if any(dead):
+            # A dead lane holds NaN from its failing step on.
+            means[dead, t], covs[dead, t] = np.nan, np.nan
             if all(dead):
                 break
             mean[dead], cov[dead] = prior.mean, prior.cov
             post_roots = None
-    for j, err in enumerate(errors):
-        if err is not None:
-            means[j, err.step :] = np.nan
-            covs[j, err.step :] = np.nan
     means.setflags(write=False)
     covs.setflags(write=False)
     return [FilterLanes(means[lanes], covs[lanes], tuple(errors[lanes])) for lanes, *_ in seeds]
@@ -745,7 +732,8 @@ def run_filter(
 
     Returns
     -------
-    list of GaussianBelief, one posterior per measurement.
+    list of GaussianBelief, one posterior per measurement, read-only
+    views of the posteriors as the pass screened them (exactly symmetric).
 
     Raises
     ------
@@ -756,4 +744,4 @@ def run_filter(
     lanes = run_filter_lanes(model, prior, [feature], engine, measurements, standardize)
     if lanes.errors[0] is not None:
         raise lanes.errors[0]
-    return [GaussianBelief(m, c) for m, c in zip(lanes.means[0], lanes.covs[0])]
+    return [_owned(GaussianBelief, mean=m, cov=c) for m, c in zip(lanes.means[0], lanes.covs[0])]

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._linalg import NumericsError, gaussian_pdf, symmetrize
 from .filters import FeatureFunction, FgfPosteriorParams, JointMoments, _evaluate_feature
-from .models import GaussianBelief, StateSpaceModel
+from .models import GaussianBelief, StateSpaceModel, _owned
 
 __all__ = [
     "Grid1D",
@@ -169,19 +169,6 @@ def _row_blocks(n_rows: int, n_cols: int):
     return [slice(start, min(start + step, n_rows)) for start in starts]
 
 
-def _owned_density(x_grid: Grid1D, y_grid: Grid1D, mass: np.ndarray) -> GridDensity2D:
-    """A density that takes ``mass`` as it is: no second screen, no copy.
-
-    Only for a fresh, already screened and normalized array that no
-    caller holds; arrays from outside go through the constructor.
-    """
-    density = object.__new__(GridDensity2D)
-    object.__setattr__(density, "x_grid", x_grid)
-    object.__setattr__(density, "y_grid", y_grid)
-    object.__setattr__(density, "mass", _read_only(mass))
-    return density
-
-
 def default_grids(
     model: StateSpaceModel,
     belief: GaussianBelief,
@@ -285,7 +272,7 @@ def joint_density_grid(
             stacklevel=2,
         )
     mass /= total
-    return _owned_density(x_grid, y_grid, mass)
+    return _owned(GridDensity2D, x_grid=x_grid, y_grid=y_grid, mass=mass)
 
 
 def conditional_slice(density: GridDensity2D, y: float) -> np.ndarray:

@@ -191,6 +191,21 @@ class GaussianBelief:
         return np.sqrt(np.clip(np.diagonal(self.cov), 0.0, None))
 
 
+def _owned(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` as they are.
+
+    It skips ``__post_init__``, so there is no second screen and no copy:
+    only for screened values that no caller writes to. Arrays are made
+    read-only here; values from outside go through the constructor.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _model_param(name: str, value) -> float:
     # One scalar parameter of a built-in model factory as a float: finite,
     # and for the prior variance also nonnegative. A bad value is a

@@ -59,7 +59,7 @@ class ExpectationEngine:
         by sqrt(d + kappa); kappa must exceed -d. Ignored by Monte
         Carlo.
     seed : int
-        Seed of the Monte Carlo draw stream; ignored by sigma points.
+        Seed of the Monte Carlo draw stream, nonnegative; ignored by sigma points.
     """
 
     kind: str
@@ -72,6 +72,12 @@ class ExpectationEngine:
             raise ValueError(
                 f"engine kind must be one of {tuple(_POINT_BUILDERS)}, got {self.kind!r}"
             )
+        for name in ("sample_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "monte_carlo" and self.sample_count < 2:
             raise ValueError(
                 f"sample_count must be at least 2, got {self.sample_count}"

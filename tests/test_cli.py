@@ -384,6 +384,7 @@ def test_too_few_sigma_points_for_the_cubic_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sigma_point engine has 4 positively weighted points" in err
     assert "4 outputs" in err
+    assert not (tmp_path / "o").exists()
     cfg = _write_config(tmp_path, text + "engine.kappa = 1\n")
     assert cli_main([*argv, "--config", str(cfg)]) == 0
     capsys.readouterr()
@@ -400,3 +401,14 @@ def test_density_checks_the_order_before_the_grid_work(
     assert cli_main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert not calls
     assert "order must be a positive integer, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_engine_seed_exits_one_before_filtering(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("fgfilter.cli.run_experiment_batch", lambda *a, **k: calls.append(a))
+    cfg = _write_config(tmp_path, "model.name = heaviside\nengine.seed = -1\n")
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", str(cfg), "--steps", "3", "--out", str(out)]) == 1
+    assert not calls and not out.exists()
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err

@@ -350,6 +350,32 @@ def test_run_filter_reports_failing_step():
     assert "step 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("declared", [True, False])
+def test_run_filter_hands_out_the_pass_posteriors_unscreened(monkeypatch, declared):
+    # The pass screens every posterior once; run_filter wraps them as they
+    # are, read-only and exactly symmetric, without a GaussianBelief screen.
+    model = linear_ssm(random_linear_system(np.random.default_rng(11), 3, 2))
+    model = model if declared else undeclared(model)
+    _, meas = simulate(model, np.zeros(3), steps=30, seed=11)
+    prior = GaussianBelief(np.zeros(3), np.eye(3))
+    feature = make_affine_feature(2)
+    lanes = run_filter_lanes(model, prior, [feature], sigma_point(), meas)
+    calls = []
+    screen = GaussianBelief.__post_init__
+    monkeypatch.setattr(
+        GaussianBelief, "__post_init__", lambda self: calls.append(self) or screen(self)
+    )
+    posts = run_filter(model, prior, feature, sigma_point(), meas)
+    assert not calls
+    assert np.array_equal([b.mean for b in posts], lanes.means[0])
+    assert np.array_equal([b.cov for b in posts], lanes.covs[0])
+    for belief in posts:
+        assert not belief.mean.flags.writeable and not belief.cov.flags.writeable
+        assert np.array_equal(belief.cov, belief.cov.T)
+    GaussianBelief(np.zeros(1), np.eye(1))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "maker, orders, standardize",
     [(make_heaviside_model, (1, 3), True), (make_noise_magnitude_model, (1, 2), False)],
@@ -487,6 +513,98 @@ def test_non_finite_fit_is_reported_as_non_finite(dx):
     assert lanes.diverged_at == (0,)
     message = str(lanes.errors[0])
     assert "non-finite" in message and "cannot be made PSD" in message
+
+
+def _raise_beyond(fn, limit):
+    # fn, except that it raises NumericsError once any state lies beyond limit.
+    def guarded(x, u):
+        if np.abs(x).max() > limit:
+            raise NumericsError(f"a state lies beyond {limit}")
+        return fn(x, u)
+
+    return guarded
+
+
+def _inf_beyond(fn, limit):
+    # fn, except that it returns inf for every state beyond limit.
+    def guarded(x, u):
+        return np.where(np.abs(x) > limit, np.inf, fn(x, u))
+
+    return guarded
+
+
+def _assert_block_matches_solo(model, prior, features, engines, meas, failing, message):
+    # Filter a block of seeds in one pass. The lanes named in failing,
+    # {(seed, lane): step}, record that step and message and hold NaN
+    # from it on; every lane equals its solo run bit for bit before it.
+    block = fgfilter.filters._filter_pass(model, prior, features, engines, meas, False)
+    for s, lanes in enumerate(block):
+        for lane, feature in enumerate(features):
+            n = failing.get((s, lane), meas.shape[1])
+            err = lanes.errors[lane]
+            if (s, lane) in failing:
+                assert isinstance(err, NumericsError) and err.step == n
+                assert f"step {n}" in str(err) and message in str(err)
+                assert np.all(np.isnan(lanes.means[lane, n:]))
+                assert np.all(np.isnan(lanes.covs[lane, n:]))
+            else:
+                assert err is None
+            if n:
+                solo = run_filter(model, prior, feature, engines[s], meas[s, :n])
+                assert np.array_equal(lanes.means[lane, :n], [b.mean for b in solo])
+                assert np.array_equal(lanes.covs[lane, :n], [b.cov for b in solo])
+    return block
+
+
+@pytest.mark.parametrize("site", ["prediction", "observation", "covariance"])
+def test_each_failure_site_stays_in_its_lanes(site):
+    # Heaviside seed 0 wanders furthest from the origin, so only its
+    # beliefs reach |x| > 10: a process or observation map that raises
+    # there stops both of its lanes, at the step its points first get
+    # that far, and a process map that returns inf there stops only the
+    # lane whose predicted covariance turns non-finite. After a raising
+    # prediction, seed 0 has no lane left and keeps its parked beliefs.
+    heaviside, prior = make_heaviside_model()
+    twin = undeclared(heaviside)
+    model, failing, message = {
+        "prediction": (
+            dataclasses.replace(twin, process=_raise_beyond(twin.process, 10.0)),
+            {(0, 0): 21, (0, 1): 21},
+            "a state lies beyond 10.0",
+        ),
+        "observation": (
+            dataclasses.replace(heaviside, observe=_raise_beyond(heaviside.observe, 10.0)),
+            {(0, 0): 17, (0, 1): 17},
+            "a state lies beyond 10.0",
+        ),
+        "covariance": (
+            dataclasses.replace(twin, process=_inf_beyond(twin.process, 10.0)),
+            {(0, 0): 21},
+            "predicted covariance is non-finite or indefinite",
+        ),
+    }[site]
+    engines = [monte_carlo(sample_count=300, seed=s) for s in range(3)]
+    meas = np.stack([simulate(heaviside, prior.mean, 30, seed=s)[1] for s in range(3)])
+    features = (make_affine_feature(1), make_monomial_feature(1, 2))
+    block = _assert_block_matches_solo(model, prior, features, engines, meas, failing, message)
+    if site != "covariance":
+        assert isinstance(block[0].errors[0].__cause__, NumericsError)
+
+
+def test_rank_deficient_gram_fails_only_its_lane():
+    # At kappa = -1.5 the sigma-point centre weight is -3, so the quadratic
+    # feature's Gram matrix is indefinite beyond the jitter budget at the
+    # first step; the affine lanes run on.
+    model, prior = make_noise_magnitude_model()
+    engines = [sigma_point(kappa=-1.5)] * 2
+    meas = np.stack([simulate(model, prior.mean, 20, seed=s)[1] for s in range(2)])
+    features = (make_affine_feature(1), make_monomial_feature(1, 2))
+    block = _assert_block_matches_solo(
+        model, prior, features, engines, meas, {(0, 1): 0, (1, 1): 0},
+        "feature Gram matrix is rank deficient",
+    )
+    for lanes in block:
+        assert isinstance(lanes.errors[1].__cause__, NumericsError)
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,29 @@ def test_engine_validation():
     assert sigma_point().kappa == 0.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sample_count": 1000.0}, "sample_count must be an integer, got 1000.0"),
+        ({"sample_count": 2.5}, "sample_count must be an integer, got 2.5"),
+        ({"sample_count": True}, "sample_count must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["monte_carlo", "sigma_point"])
+def test_engine_rejects_non_integer_counts_and_seeds(kind, kwargs, message):
+    # Caught at construction, not later inside a filter pass.
+    with pytest.raises(ValueError, match=message):
+        ExpectationEngine(kind, **kwargs)
+
+
+def test_engine_takes_numpy_integers():
+    engine = ExpectationEngine("monte_carlo", sample_count=np.int64(64), seed=np.int32(3))
+    assert np.array_equal(_unit_points(engine, 1, 1).weights, np.full(64, 1.0 / 64))
+
+
 def test_sigma_point_layout_and_weights():
     belief = GaussianBelief(np.array([1.0, -2.0]), np.diag([4.0, 1.0]))
     states, noises, weights = sample_points(sigma_point(kappa=2.0), belief, 1)
