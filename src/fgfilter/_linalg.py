@@ -1,12 +1,16 @@
-"""Dense linear-algebra helpers shared across the package.
+"""Dense linear-algebra kernels shared across the package.
 
 Covariance handling follows one policy everywhere: matrices are kept
 explicitly symmetric, and failures raise :class:`NumericsError` so
 callers can tell numerical breakdown apart from bad arguments. The
-package's finite screen (:func:`_finite`) and PSD screen
-(:func:`_psd_ok`, :func:`_require_psd`) are defined here once. Only
-Cholesky factorizations retry with an escalating diagonal jitter before
-giving up; a matrix that fails the PSD screen is rejected, not repaired.
+finite screen (:func:`_finite`), the PSD screen (:func:`_psd_ok`,
+:func:`_require_psd`) and the fit's three kernels (the Gram solve
+:func:`_cho_solve_jittered`, the clip :func:`_clip_psd` and the roots
+:func:`_psd_roots`) are defined here once. The kernels do not check
+their arguments: a value is screened where it enters the package or in
+the kernel that produced it. Only the Cholesky solve retries, with an
+escalating diagonal jitter, before giving up; a matrix that fails the
+PSD screen is rejected, not repaired.
 """
 
 from __future__ import annotations
@@ -29,9 +33,6 @@ _TINY = np.finfo(float).tiny
 __all__ = [
     "NumericsError",
     "symmetrize",
-    "sqrt_psd",
-    "solve_psd",
-    "ensure_psd",
     "gaussian_pdf",
 ]
 
@@ -77,56 +78,14 @@ def _require_psd(mat: np.ndarray, what: str) -> None:
         )
 
 
-def _require_square(a: np.ndarray, what: str) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
-
-
-def sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix.
-
-    The one-matrix case of the stacked roots the filter takes:
-    eigendecomposition-based, so the result is itself symmetric, with
-    eigenvalues that are negative within roundoff clipped to zero.
-    Raises :class:`NumericsError` for a non-finite matrix or one that
-    fails the PSD screen; there is no jitter retry.
-    """
-    a = np.asarray(a, dtype=float)
-    _require_square(a, "matrix")
-    if not _finite(a):
-        raise NumericsError("matrix square root of a non-finite matrix")
-    roots, ok = _psd_roots(a[None])
-    if not ok[0]:
-        raise NumericsError("matrix is not positive semidefinite within tolerance")
-    return roots[0]
-
-
-def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``.
-
-    Cholesky-based (no explicit inverse); escalating diagonal jitter on
-    factorization failure, :class:`NumericsError` once the budget is
-    exhausted.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _require_square(a, "left-hand side")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}"
-        )
-    if not (_finite(a) and _finite(b)):
-        raise NumericsError("linear solve with non-finite input")
-    return _cho_solve_jittered(symmetrize(a), b)
-
-
 def _cho_solve_jittered(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Shared jitter loop behind solve_psd. Callers that skip the public
-    # guards must pass a float matrix (only its lower triangle is read)
-    # and screen the solution: non-finite input may factor without
-    # complaint and carry NaN into the result. LAPACK is called directly
-    # because for the small matrices here the wrappers cost more than
-    # the arithmetic.
+    # Solves mat @ x = b for a symmetric positive definite float matrix,
+    # of which only the lower triangle is read, with escalating diagonal
+    # jitter on factorization failure and NumericsError once the budget
+    # is exhausted. Callers pass screened input or screen the solution:
+    # non-finite input may factor without complaint and carry NaN into
+    # the result. LAPACK is called directly because for the small
+    # matrices here the wrappers cost more than the arithmetic.
     jitter = None
     for round_ in range(MAX_JITTER_ROUNDS + 1):
         low, info = dpotrf(mat, lower=1)
@@ -142,39 +101,23 @@ def _cho_solve_jittered(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise NumericsError("matrix is singular within the jitter budget")
 
 
-def ensure_psd(a: np.ndarray, *, scale: float | None = None) -> np.ndarray:
-    """Symmetrize and clip tiny negative eigenvalues to zero.
-
-    ``scale`` sets the reference magnitude for the clipping tolerance
-    (useful after subtractive updates, where the result can be much
-    smaller than the operands); it defaults to the largest absolute
-    eigenvalue. A non-finite matrix, or negative eigenvalues beyond the
-    tolerance, raise :class:`NumericsError`.
-    """
-    a = np.asarray(a, dtype=float)
-    _require_square(a, "matrix")
-    out, problems, _ = _clip_psd(a[None], None if scale is None else np.array([scale]))
-    if problems:
-        raise NumericsError(problems[0])
-    return out[0]
-
-
 def _clip_psd(a: np.ndarray, scale, roots: bool = False):
-    # Kernel behind ensure_psd over a stack of square float matrices
-    # (L, d, d). ``scale`` gives each one's reference magnitude, as an
-    # array or as a function returning it, called only once some matrix
-    # has a negative eigenvalue; None takes each matrix's largest
-    # absolute eigenvalue. Returns the clipped stack, {index: message}
-    # for the matrices that cannot be made PSD, whose entries are
-    # meaningless, and, if ``roots`` asks for them, their _psd_roots when
-    # the screen's eigendecomposition yields them as is (d > 1, every
-    # matrix PSD), else None. Non-finite input is reported as such, not
-    # as an indefinite matrix.
+    # Symmetrize a stack of square float matrices (L, d, d) and clip
+    # eigenvalues that are negative within tolerance to zero. ``scale``
+    # gives each one's reference magnitude for the tolerance (after a
+    # subtractive update the result can be much smaller than the
+    # operands), as an array or as a function returning it, called only
+    # once some matrix has a negative eigenvalue. Returns the clipped
+    # stack, {index: message} for the matrices that cannot be made PSD,
+    # whose entries are meaningless, and, if ``roots`` asks for them,
+    # their _psd_roots when the screen's eigendecomposition yields them
+    # as is (d > 1, every matrix PSD), else None. Non-finite input is
+    # reported as such, not as an indefinite matrix.
     if a.shape[-1] == 1:
         v = a[:, 0, 0]
         if v.min() >= 0.0 and v.max() < np.inf:
             return v.reshape(-1, 1, 1).copy(), {}, None
-        ref = np.abs(v) if scale is None else scale() if callable(scale) else scale
+        ref = scale() if callable(scale) else scale
         nonneg = v >= 0.0
         ok = (nonneg | (v >= -PSD_REL_TOL * np.maximum(ref, _TINY))) & np.isfinite(v)
         problems = {}
@@ -198,10 +141,7 @@ def _clip_psd(a: np.ndarray, scale, roots: bool = False):
     else:
         finite = np.isfinite(a).all(axis=(1, 2))
         w, vec = np.linalg.eigh(np.where(finite[:, None, None], out, 0.0))
-    if scale is None:
-        ref = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-    else:
-        ref = scale() if callable(scale) else scale
+    ref = scale() if callable(scale) else scale
     ok = finite & ~(w[:, 0] < -PSD_REL_TOL * np.maximum(ref, _TINY))
     problems = {}
     if not ok.all():

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from ._linalg import NumericsError
 from .config import (
-    KNOWN_KEYS,
     _get,
     _model_kwargs,
     engine_from_config,
@@ -54,15 +53,17 @@ from .gridoracle import (
 
 __all__ = ["cli_main", "main"]
 
-# The config keys each subcommand reads. Any other key that is set exits
-# 1 rather than being silently ignored.
-_SHARED_KEYS = {k for k in KNOWN_KEYS if k.startswith("model.")} | {"run.seed", "run.out"}
-_COMMAND_KEYS = {
-    "simulate": _SHARED_KEYS
-    | {k for k in KNOWN_KEYS if k.startswith("engine.")}
-    | {"feature.standardize", "run.steps", "run.seeds", "run.orders"},
-    "density": _SHARED_KEYS | {"feature.order"},
-    "kl": _SHARED_KEYS | {"run.orders"},
+# The flags a config key can also set: dest -> (key, parser, default). A
+# flag on the command line wins over its key; a default of None leaves
+# the value to the subcommand.
+_SETTINGS = {
+    "model": ("model.name", str, None),
+    "seed": ("run.seed", int, 0),
+    "out": ("run.out", Path, Path(".")),
+    "steps": ("run.steps", int, 1000),
+    "seeds": ("run.seeds", int, 1),
+    "orders": ("run.orders", parse_orders, None),
+    "order": ("feature.order", int, None),
 }
 
 
@@ -113,50 +114,51 @@ def _parse_range(raw: str, label: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _resolve(args) -> dict:
+def _resolve(args):
+    # The config, model and prior of a run. A subcommand reads the keys of
+    # its own flags and every model.* key, and simulate also the engine.*
+    # keys and feature.standardize; any other key that is set exits 1
+    # rather than being silently ignored. Each flag left unset is then
+    # filled from its key, else from its default.
     cfg = load_config(args.config) if args.config else {}
+    flags = [dest for dest in _SETTINGS if dest in vars(args)]
+    reads = {_SETTINGS[dest][0] for dest in flags}
+    if args.command == "simulate":
+        reads |= {key for key in cfg if key.startswith("engine.")} | {"feature.standardize"}
     for key in cfg:
-        if key not in _COMMAND_KEYS[args.command]:
+        if key not in reads and not key.startswith("model."):
             raise ValueError(
                 f"config key {key!r} does not apply to subcommand {args.command!r}"
             )
-    model, prior = model_from_config(cfg, getattr(args, "model", None))
-    out_dir = Path(args.out if args.out is not None else cfg.get("run.out", "."))
-    seed = args.seed if args.seed is not None else _get(cfg, "run.seed", int, 0)
-    return {"cfg": cfg, "model": model, "prior": prior, "out": out_dir, "seed": seed}
-
-
-def _orders(args, cfg, default) -> tuple[int, ...]:
-    if args.orders:
-        return parse_orders(args.orders)
-    return _get(cfg, "run.orders", parse_orders, default)
+    for dest in flags:
+        key, parse, default = _SETTINGS[dest]
+        value = getattr(args, dest)
+        setattr(args, dest, _get(cfg, key, parse, default) if value is None else parse(value))
+    return (cfg, *model_from_config(cfg, args.model))
 
 
 def _cmd_simulate(args) -> int:
-    common = _resolve(args)
-    cfg, model, out_dir = common["cfg"], common["model"], common["out"]
-    steps = args.steps if args.steps is not None else _get(cfg, "run.steps", int, 1000)
-    seeds = args.seeds if args.seeds is not None else _get(cfg, "run.seeds", int, 1)
-    orders = _orders(args, cfg, (EXPERIMENTS[model.name].order,))
+    cfg, model, _ = _resolve(args)
+    orders = (EXPERIMENTS[model.name].order,) if args.orders is None else args.orders
     # Options left unset keep the experiment's defaults.
     options = _model_kwargs(cfg, model.name)
     if "feature.standardize" in cfg:
         options["standardize"] = _get(cfg, "feature.standardize", parse_bool, None)
     reports = run_experiment_batch(
         model.name,
-        n_seeds=seeds,
-        base_seed=common["seed"],
-        steps=steps,
+        n_seeds=args.seeds,
+        base_seed=args.seed,
+        steps=args.steps,
         engine=engine_from_config(cfg),
         orders=orders,
         **options,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     for order in orders:
-        path = out_dir / f"report_{model.name}_{order}.csv"
+        path = args.out / f"report_{model.name}_{order}.csv"
         write_report_csv(reports, order, path)
         print(f"wrote {path}")
-    summary_path = out_dir / "summary.csv"
+    summary_path = args.out / "summary.csv"
     write_summary_csv(reports, summary_path)
     print(f"wrote {summary_path}")
     for order in orders:
@@ -171,7 +173,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grids_for(args, model, prior, seed):
+def _grids_for(args, model, prior):
     x_range = getattr(args, "x_range", None)
     y_range = getattr(args, "y_range", None)
     if y_range:
@@ -180,7 +182,7 @@ def _grids_for(args, model, prior, seed):
         x_grid = None if x_range else _state_grid(prior, args.grid_n, args.span)
     else:
         x_grid, y_grid = default_grids(
-            model, prior, n=args.grid_n, span=args.span, seed=seed
+            model, prior, n=args.grid_n, span=args.span, seed=args.seed
         )
     if x_range:
         x_grid = Grid1D(*_parse_range(x_range, "--x-range"), args.grid_n)
@@ -188,27 +190,19 @@ def _grids_for(args, model, prior, seed):
 
 
 def _cmd_density(args) -> int:
-    common = _resolve(args)
-    cfg, model, prior, out_dir = (
-        common["cfg"],
-        common["model"],
-        common["prior"],
-        common["out"],
-    )
-    order = args.order
-    if order is None:
-        order = _get(cfg, "feature.order", int, EXPERIMENTS[model.name].order)
+    _, model, prior = _resolve(args)
+    order = EXPERIMENTS[model.name].order if args.order is None else args.order
     # Built before the grid work, so a bad order fails at once.
     feature = make_monomial_feature(model.meas_dim, order)
-    x_grid, y_grid = _grids_for(args, model, prior, common["seed"])
+    x_grid, y_grid = _grids_for(args, model, prior)
     joint = joint_density_grid(model, prior, x_grid, y_grid)
     affine = make_affine_feature(model.meas_dim)
     params_gf = fgf_solve(grid_joint_moments(joint, affine))
     params_fgf = fgf_solve(grid_joint_moments(joint, feature))
     gf_means = affine.map(y_grid.values[:, None]) @ params_gf.gamma[0]
     fgf_means = feature.map(y_grid.values[:, None]) @ params_fgf.gamma[0]
-    path = out_dir / f"density_{model.name}.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"density_{model.name}.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
     _write_density_csv(path, joint, gf_means, fgf_means)
     print(f"wrote {path}")
     print(
@@ -242,15 +236,9 @@ def _write_density_csv(path, joint, gf_means, fgf_means) -> None:
 
 
 def _cmd_kl(args) -> int:
-    common = _resolve(args)
-    cfg, model, prior, out_dir = (
-        common["cfg"],
-        common["model"],
-        common["prior"],
-        common["out"],
-    )
-    orders = _orders(args, cfg, (1, 2, 3))
-    x_grid, y_grid = _grids_for(args, model, prior, common["seed"])
+    _, model, prior = _resolve(args)
+    orders = (1, 2, 3) if args.orders is None else args.orders
+    x_grid, y_grid = _grids_for(args, model, prior)
     joint = joint_density_grid(model, prior, x_grid, y_grid)
     rows = []
     for order in orders:
@@ -259,8 +247,8 @@ def _cmd_kl(args) -> int:
         value = kl_conditional(joint, params, feature)
         rows.append((order, value))
         print(f"order {order}: kl={value:.6f}")
-    path = out_dir / f"kl_{model.name}.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"kl_{model.name}.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "order", "kl"])

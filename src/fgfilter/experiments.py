@@ -23,11 +23,12 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import sqrt_psd
+from ._linalg import _psd_roots
 from .filters import _filter_pass, make_monomial_feature
 from .models import (
     GaussianBelief,
     StateSpaceModel,
+    _integer,
     make_heaviside_model,
     make_noise_magnitude_model,
     simulate,
@@ -123,8 +124,6 @@ def _run_tracking(
     standardize: bool,
 ) -> list[ExperimentReport]:
     # One report per seed, the seeds filtered in blocks of one pass each.
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
     orders_run = tuple(sorted(set(int(o) for o in orders) | {1}))
     if any(o < 1 for o in orders_run):
         raise ValueError(f"feature orders must be positive, got {orders!r}")
@@ -146,7 +145,7 @@ def _run_tracking(
 
 def _run_block(model, prior, steps, seeds, engines, features, orders_run, standardize):
     start = time.perf_counter()
-    root = sqrt_psd(prior.cov)
+    root = _psd_roots(prior.cov[None])[0][0]
     truths, measurements = [], []
     for seed in seeds:
         init_rng = np.random.default_rng((seed, 1))
@@ -276,11 +275,13 @@ def run_experiment_batch(
     pass (seeds x orders); a seed's report does not depend on its block.
     Reports come back ordered by seed; a numerical failure stays inside
     its own seed and order, recorded in that report, and does not abort
-    the batch.
+    the batch. ``n_seeds``, ``base_seed`` and ``steps`` must be integers
+    (not bools), at least 1, 0 and 1; anything else raises ValueError.
     """
     entry = _experiment(model_name)
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    _integer("n_seeds", n_seeds, 1)
+    _integer("base_seed", base_seed, 0)
+    _integer("steps", steps, 1)
     model, prior = entry.factory(**model_kwargs)
     orders = (entry.order,) if orders is None else orders
     standardize = entry.standardize if standardize is None else standardize

@@ -49,8 +49,7 @@ from ._linalg import (
     _finite,
     _psd_roots,
     _require_psd,
-    ensure_psd,
-    solve_psd,
+    symmetrize,
 )
 from .models import GaussianBelief, StateSpaceModel, _owned
 from .quadrature import ExpectationEngine, PointSet, _place, _unit_points
@@ -446,7 +445,7 @@ def gf_update(moments: JointMoments, y) -> GaussianBelief:
     s_yy = moments.s_ff[1:, 1:]
     s_xy = moments.s_xf[:, 1:]
     try:
-        gain = solve_psd(s_yy, s_xy.T).T
+        gain = _cho_solve_jittered(symmetrize(s_yy), s_xy.T).T
     except NumericsError as err:
         raise NumericsError(
             f"measurement conditioning failed, predicted measurement "
@@ -455,8 +454,10 @@ def gf_update(moments: JointMoments, y) -> GaussianBelief:
     mean = moments.mu_x + gain @ (y - mu_y)
     dx = moments.state_dim
     scale = max(float(np.trace(moments.s_xx)) / dx, _TINY)
-    cov = ensure_psd(moments.s_xx - gain @ s_xy.T, scale=scale)
-    return GaussianBelief(mean, cov)
+    cov, problems, _ = _clip_psd((moments.s_xx - gain @ s_xy.T)[None], np.array([scale]))
+    if problems:
+        raise NumericsError(problems[0])
+    return GaussianBelief(mean, cov[0])
 
 
 def fgf_solve(moments: JointMoments) -> FgfPosteriorParams:
@@ -478,7 +479,9 @@ def fgf_solve(moments: JointMoments) -> FgfPosteriorParams:
     )
     if problems:
         raise NumericsError(problems[0])
-    return FgfPosteriorParams(gamma, sigma[0])
+    if not _finite(gamma):
+        raise NumericsError("gamma contains non-finite values")
+    return _owned(FgfPosteriorParams, gamma=gamma, sigma=sigma[0])
 
 
 def fgf_update(

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._linalg import NumericsError, gaussian_pdf, symmetrize
 from .filters import FeatureFunction, FgfPosteriorParams, JointMoments, _evaluate_feature
-from .models import GaussianBelief, StateSpaceModel, _owned
+from .models import GaussianBelief, StateSpaceModel, _integer, _owned
 
 __all__ = [
     "Grid1D",
@@ -180,8 +180,10 @@ def default_grids(
     """Pick grids covering ``span`` standard deviations on both axes.
 
     The x grid comes straight from the belief; the y grid from seeded
-    Monte Carlo moments of the measurement under it.
+    Monte Carlo moments of the measurement under it. ``seed`` must be a
+    nonnegative integer (not a bool).
     """
+    _integer("seed", seed, 0)
     _require_scalar(model)
     x_grid = _state_grid(belief, n, span)
     rng = np.random.default_rng(seed)

@@ -218,6 +218,15 @@ def _model_param(name: str, value) -> float:
     return value
 
 
+def _integer(name: str, value, least: int) -> None:
+    # Screen of an integer argument from outside the package: an int or a
+    # numpy integer, not a bool, and at least ``least``.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _scalar_prior(prior_mean, prior_var) -> GaussianBelief:
     mean = _model_param("prior_mean", prior_mean)
     var = _model_param("prior_var", prior_var)

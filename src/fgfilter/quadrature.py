@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NumericsError, sqrt_psd
-from .models import GaussianBelief
+from ._linalg import NumericsError, _psd_roots
+from .models import GaussianBelief, _integer
 
 __all__ = [
     "ExpectationEngine",
@@ -154,8 +154,6 @@ _POINT_BUILDERS = {"monte_carlo": _monte_carlo_points, "sigma_point": _sigma_poi
 
 def _unit_points(engine: ExpectationEngine, state_dim: int, noise_dim: int) -> PointSet:
     """The engine's point set for a standard-normal state and noise."""
-    if not isinstance(noise_dim, (int, np.integer)) or noise_dim < 0:
-        raise ValueError(f"noise_dim must be a nonnegative integer, got {noise_dim!r}")
     return _POINT_BUILDERS[engine.kind](engine, state_dim, noise_dim)
 
 
@@ -188,8 +186,9 @@ def sample_points(
         center first, then the +/- state columns, then the +/- noise
         axes; with kappa = 0 the center weight is 0.
     """
+    _integer("noise_dim", noise_dim, 0)
     points = _unit_points(engine, belief.state_dim, noise_dim)
-    states = _place(points, belief.mean[None], sqrt_psd(belief.cov)[None])[0].T
+    states = _place(points, belief.mean[None], _psd_roots(belief.cov[None])[0])[0].T
     return states, points.noises, points.weights
 
 

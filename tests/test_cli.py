@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fgfilter import GridDensity2D, Grid1D
-from fgfilter.cli import _write_density_csv, cli_main
+from fgfilter.cli import _parse_range, _write_density_csv, cli_main
 from fgfilter.experiments import EXPERIMENTS
 
 
@@ -412,3 +412,33 @@ def test_negative_engine_seed_exits_one_before_filtering(tmp_path, monkeypatch, 
     assert cli_main(["simulate", "--config", str(cfg), "--steps", "3", "--out", str(out)]) == 1
     assert not calls and not out.exists()
     assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [("1", "--x-range must be 'lo,hi', got '1'"), ("1,b", "--x-range must be numeric 'lo,hi'")],
+)
+def test_parse_range_names_the_flag(raw, message):
+    with pytest.raises(ValueError, match=message):
+        _parse_range(raw, "--x-range")
+
+
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["density", "--seed", "-1"], "", "seed must be at least 0, got -1"),
+        (["kl"], "run.seed = -2\n", "seed must be at least 0, got -2"),
+        (
+            ["simulate", "--seed", "-1", "--steps", "3"],
+            "engine.seed = 0\n",
+            "base_seed must be at least 0, got -1",
+        ),
+    ],
+    ids=["density", "kl", "simulate"],
+)
+def test_negative_seed_exits_one_naming_it(tmp_path, capsys, argv, line, message):
+    cfg = _write_config(tmp_path, f"model.name = heaviside\n{line}")
+    out = tmp_path / "o"
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -116,6 +116,22 @@ def test_experiment_validation():
         run_experiment_batch("heaviside", n_seeds=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_seeds": 2.5}, "n_seeds must be an integer, got 2.5"),
+        ({"n_seeds": True}, "n_seeds must be an integer, got True"),
+        ({"base_seed": -1}, "base_seed must be at least 0, got -1"),
+        ({"base_seed": 1.0}, "base_seed must be an integer, got 1.0"),
+        ({"steps": 3.5}, "steps must be an integer, got 3.5"),
+        ({"steps": False}, "steps must be an integer, got False"),
+    ],
+)
+def test_batch_rejects_bad_counts_and_seeds(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_experiment_batch("heaviside", **kwargs)
+
+
 def test_batch_runs_consecutive_seeds():
     reports = run_experiment_batch(
         "noise_magnitude", n_seeds=3, base_seed=10, steps=15,

@@ -80,6 +80,16 @@ def test_feature_validation():
         FeatureFunction(name="f", out_dim=1, map=lambda y: y)
 
 
+def test_feature_map_must_be_callable():
+    with pytest.raises(ValueError, match="map must be callable"):
+        FeatureFunction(name="f", out_dim=2, map=None)
+
+
+def test_monomial_map_checks_the_measurement_dimension():
+    with pytest.raises(ValueError, match="expects measurement dimension 1, got 2"):
+        make_monomial_feature(1, 2).map(np.zeros((3, 2)))
+
+
 def test_standardize_feature_rescales_inputs():
     base = make_monomial_feature(1, 2)
     feat = standardize_feature(base, shift=3.0, scale=2.0)
@@ -206,6 +216,15 @@ def test_gf_update_requires_affine_moments():
         gf_update(m, np.zeros(1))
 
 
+def test_gf_update_rejects_moments_without_a_constant_entry():
+    # Monomial moments of any order keep the constant entry; these do not.
+    m = JointMoments(
+        mu_x=np.zeros(1), mu_f=np.zeros(2), s_xx=np.eye(1), s_ff=np.eye(2), s_xf=np.zeros((1, 2))
+    )
+    with pytest.raises(ValueError, match="affine-feature structure"):
+        gf_update(m, np.zeros(1))
+
+
 def test_gf_update_validates_measurement():
     model, prior = make_noise_magnitude_model()
     m = joint_moments(prior, model, make_affine_feature(1), sigma_point())
@@ -252,6 +271,37 @@ def test_fgf_solve_matches_direct_least_squares():
     assert_allclose(params.sigma[0, 0], np.mean(resid**2), atol=1e-8)
 
 
+@pytest.mark.parametrize("dx", [1, 2])
+def test_fgf_solve_hands_over_its_screened_fit(monkeypatch, dx):
+    # The clip and the finite screen of gamma are the fit's one screen:
+    # fgf_solve builds no GaussianBelief, and hands out read-only arrays.
+    m = random_affine_moments(np.random.default_rng(dx), dx, 1)
+    calls = []
+    screen = GaussianBelief.__post_init__
+    monkeypatch.setattr(
+        GaussianBelief, "__post_init__", lambda self: calls.append(self) or screen(self)
+    )
+    params = fgf_solve(m)
+    assert not calls
+    assert not params.gamma.flags.writeable and not params.sigma.flags.writeable
+    assert np.array_equal(params.sigma, params.sigma.T)
+    GaussianBelief(np.zeros(1), np.eye(1))
+    assert len(calls) == 1
+
+
+def test_fgf_solve_reports_a_fit_it_cannot_screen():
+    base = dict(
+        mu_x=np.zeros(1), mu_f=np.array([1.0, 0.0]), s_xx=np.eye(1), s_ff=np.diag([0.0, 1.0])
+    )
+    # Cross moments that no joint distribution has leave a negative residual.
+    with pytest.raises(NumericsError, match="variance -99.0 is negative"):
+        fgf_solve(JointMoments(**base, s_xf=np.array([[0.0, 10.0]])))
+    # A cross moment near the largest float overflows the fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="non-finite"):
+            fgf_solve(JointMoments(**base, s_xf=np.array([[0.0, 1e308]])))
+
+
 def test_fgf_update_checks_feature_dimension():
     params = FgfPosteriorParams(gamma=np.ones((1, 3)), sigma=np.eye(1))
     with pytest.raises(ValueError):
@@ -280,6 +330,22 @@ def test_run_filter_matches_kalman():
         for got, (ref_mean, ref_cov) in zip(posts, ref):
             assert_allclose(got.mean, ref_mean, atol=1e-8)
             assert_allclose(got.cov, ref_cov, atol=1e-8)
+
+
+def test_feature_output_shape_is_checked():
+    short = FeatureFunction(name="short", out_dim=3, map=make_affine_feature(1).map)
+    model, prior = make_noise_magnitude_model()
+    with pytest.raises(ValueError, match="'short' returned shape"):
+        joint_moments(prior, model, short, sigma_point())
+
+
+def test_observation_map_shape_is_checked():
+    model = StateSpaceModel(
+        1, 1, 1, 1, lambda x, v: x + v, lambda x, w: np.hstack([x, w]), name="wide"
+    )
+    feat = make_affine_feature(1)
+    with pytest.raises(ValueError, match="observation map returned shape"):
+        run_filter(model, GaussianBelief(0.0, 1.0), feat, sigma_point(), np.zeros(3))
 
 
 def test_run_filter_accepts_flat_measurements():

@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from fgfilter import (
+    FeatureFunction,
     FgfPosteriorParams,
     GaussianBelief,
     Grid1D,
@@ -153,6 +154,32 @@ def test_default_grids_cover_the_belief():
     assert abs(yg.lo + yg.hi) < 0.5  # y grid roughly centered on zero
 
 
+def test_default_grids_reject_zero_measurement_spread():
+    flat = StateSpaceModel(1, 1, 1, 1, lambda x, v: x + v, lambda x, w: 0.0 * x, name="flat")
+    with pytest.raises(ValueError, match="measurement spread is zero"):
+        default_grids(flat, GaussianBelief(0.0, 1.0), n=11)
+
+
+def test_default_grids_reject_a_point_mass_prior():
+    model, prior = make_noise_magnitude_model(prior_var=0.0)
+    with pytest.raises(ValueError, match="belief must have positive variance"):
+        default_grids(model, prior, n=11)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be at least 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ],
+)
+def test_default_grids_reject_bad_seeds(seed, message):
+    model, prior = make_noise_magnitude_model()
+    with pytest.raises(ValueError, match=message):
+        default_grids(model, prior, n=11, seed=seed)
+
+
 def test_joint_density_marginal_matches_prior():
     model, prior = make_noise_magnitude_model()
     xg, yg = default_grids(model, prior, n=501)
@@ -187,6 +214,13 @@ def test_joint_density_requires_likelihood_and_scalar():
         joint_density_grid(linear_ssm(sys), GaussianBelief(np.zeros(2), np.eye(2)), xg, xg)
 
 
+def test_joint_density_rejects_a_non_scalar_prior():
+    xg = Grid1D(-1.0, 1.0, 11)
+    model = make_noise_magnitude_model()[0]
+    with pytest.raises(ValueError, match="prior must be scalar"):
+        joint_density_grid(model, GaussianBelief(np.zeros(2), np.eye(2)), xg, xg)
+
+
 def test_conditional_slice_matches_conjugate_posterior():
     sys, model = _scalar_linear()
     prior = GaussianBelief(np.array([1.0]), np.array([[0.8]]))
@@ -212,6 +246,14 @@ def test_conditional_slice_range_check():
     joint = joint_density_grid(model, prior, xg, yg)
     with pytest.raises(ValueError):
         conditional_slice(joint, yg.hi + 1.0)
+
+
+def test_conditional_slice_rejects_a_zero_mass_column():
+    mass = np.zeros((3, 2))
+    mass[:, 0] = 2.0
+    density = GridDensity2D(Grid1D(0.0, 1.0, 3), Grid1D(0.0, 1.0, 2), mass)
+    with pytest.raises(NumericsError, match="zero mass"):
+        conditional_slice(density, 0.75)
 
 
 def test_conditional_mean_curve_is_linear_for_linear_model():
@@ -242,6 +284,17 @@ def test_grid_joint_moments_match_gaussian_oracle():
     assert_allclose(m.mu_f[2], e2, rtol=5e-3)
     assert abs(m.s_xf[0, 1]) < 1e-5
     assert_allclose(m.s_xf[0, 2], e3 - 5.0 * e2, rtol=2e-2)
+
+
+def test_grid_joint_moments_screen_the_feature_values():
+    def holey(y):
+        out = make_affine_feature(1).map(y)
+        out[y[:, 0] > 0.0, 1] = np.nan
+        return out
+
+    density = GridDensity2D(Grid1D(0.0, 1.0, 3), Grid1D(-1.0, 1.0, 4), np.full((3, 4), 0.5))
+    with pytest.raises(NumericsError, match="'holey' produced non-finite values"):
+        grid_joint_moments(density, FeatureFunction("holey", 2, holey))
 
 
 def test_gaussian_moment_oracle_matches_scipy():
@@ -296,6 +349,17 @@ def test_kl_validates_inputs():
     params = fgf_solve(grid_joint_moments(joint, affine))
     with pytest.raises(ValueError):
         kl_conditional(joint, params, make_monomial_feature(1, 2))
+
+
+def test_kl_rejects_a_vector_state_and_a_zero_variance():
+    density = GridDensity2D(Grid1D(0.0, 1.0, 3), Grid1D(0.0, 1.0, 2), np.ones((3, 2)))
+    affine = make_affine_feature(1)
+    vector = FgfPosteriorParams(gamma=np.ones((2, 2)), sigma=np.eye(2))
+    with pytest.raises(ValueError, match="scalar state only"):
+        kl_conditional(density, vector, affine)
+    needle = FgfPosteriorParams(gamma=np.ones((1, 2)), sigma=np.zeros((1, 1)))
+    with pytest.raises(NumericsError, match="nonpositive variance"):
+        kl_conditional(density, needle, affine)
 
 
 def test_statistics_are_cached_and_read_only():

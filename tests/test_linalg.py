@@ -1,4 +1,9 @@
-"""Unit tests for the shared dense linear-algebra helpers."""
+"""Unit tests for the shared dense linear-algebra kernels.
+
+Tests named for sqrt_psd, solve_psd and ensure_psd check the operation
+by that name: the symmetric root (_psd_roots), the jittered Cholesky
+solve (_cho_solve_jittered) and the PSD clip (_clip_psd).
+"""
 
 import numpy as np
 import pytest
@@ -8,12 +13,10 @@ from scipy import stats
 from fgfilter import FgfPosteriorParams, GaussianBelief, JointMoments, NumericsError
 from fgfilter._linalg import (
     PSD_REL_TOL,
+    _cho_solve_jittered,
     _clip_psd,
     _psd_roots,
-    ensure_psd,
     gaussian_pdf,
-    solve_psd,
-    sqrt_psd,
     symmetrize,
 )
 from helpers import gaussian_log_pdf, random_spd
@@ -31,45 +34,44 @@ def test_sqrt_psd_squares_back():
     rng = np.random.default_rng(1)
     for n in (1, 2, 5):
         a = random_spd(rng, n)
-        root = sqrt_psd(a)
+        root = _psd_roots(a[None])[0][0]
         assert_allclose(root, root.T, atol=1e-12)
         assert_allclose(root @ root.T, a, atol=1e-12)
 
 
 def test_sqrt_psd_of_a_diagonal_is_exact():
-    assert np.array_equal(sqrt_psd(np.diag([4.0, 9.0, 0.0])), np.diag([2.0, 3.0, 0.0]))
+    root = _psd_roots(np.diag([4.0, 9.0, 0.0])[None])[0][0]
+    assert np.array_equal(root, np.diag([2.0, 3.0, 0.0]))
     rng = np.random.default_rng(6)
     for n in (1, 2, 3, 5):
         for _ in range(20):
             d = rng.exponential(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
             d[rng.uniform(size=n) < 0.2] = 0.0
-            assert np.array_equal(sqrt_psd(np.diag(d)), np.diag(np.sqrt(d)))
+            assert np.array_equal(_psd_roots(np.diag(d)[None])[0][0], np.diag(np.sqrt(d)))
 
 
 def test_sqrt_psd_singular_input():
     rng = np.random.default_rng(2)
     v = rng.standard_normal(4)
     a = np.outer(v, v)
-    root = sqrt_psd(a)
+    root = _psd_roots(a[None])[0][0]
     assert_allclose(root @ root.T, a, atol=1e-10)
 
 
 def test_sqrt_psd_rejects_bad_input():
     with pytest.raises(NumericsError):
-        sqrt_psd(np.array([[-1.0]]))
+        _screened_roots(np.array([[-1.0]]))
     with pytest.raises(NumericsError):
-        sqrt_psd(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        sqrt_psd(np.zeros((2, 3)))
+        _screened_roots(np.array([[np.nan]]))
 
 
 def test_solve_psd_matches_reference():
     rng = np.random.default_rng(3)
     a = random_spd(rng, 5)
     b = rng.standard_normal((5, 3))
-    assert_allclose(solve_psd(a, b), np.linalg.solve(a, b), atol=1e-10)
+    assert_allclose(_cho_solve_jittered(a, b), np.linalg.solve(a, b), atol=1e-10)
     x = rng.standard_normal(5)
-    assert_allclose(solve_psd(a, x), np.linalg.solve(a, x), atol=1e-10)
+    assert_allclose(_cho_solve_jittered(a, x), np.linalg.solve(a, x), atol=1e-10)
 
 
 def test_solve_psd_jitter_recovers_singular():
@@ -80,62 +82,49 @@ def test_solve_psd_jitter_recovers_singular():
     v = rng.standard_normal(3)
     a = np.outer(v, v)
     b = a @ rng.standard_normal(3)
-    x = solve_psd(a, b)
+    x = _cho_solve_jittered(a, b)
     assert_allclose(a @ x, b, atol=1e-6)
 
 
 def test_solve_psd_indefinite_fails():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NumericsError):
-        solve_psd(a, np.ones(2))
-
-
-def test_solve_psd_input_validation():
-    with pytest.raises(ValueError):
-        solve_psd(np.zeros((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        solve_psd(np.eye(2), np.ones(3))
-    with pytest.raises(NumericsError):
-        solve_psd(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+        _cho_solve_jittered(a, np.ones(2))
 
 
 def test_ensure_psd_passes_through_psd():
     rng = np.random.default_rng(5)
     a = random_spd(rng, 4)
-    assert_allclose(ensure_psd(a), a, atol=1e-14)
+    assert_allclose(_clip_psd(a[None], np.ones(1))[0][0], a, atol=1e-14)
 
 
 def test_ensure_psd_clips_roundoff():
     a = np.diag([1.0, -1e-14])
-    out = ensure_psd(a)
+    out = _clip_psd(a[None], np.ones(1))[0][0]
     assert out[1, 1] == 0.0
     assert np.min(np.linalg.eigvalsh(out)) >= 0.0
 
 
 def test_ensure_psd_rejects_indefinite():
-    with pytest.raises(NumericsError):
-        ensure_psd(np.diag([1.0, -1.0]))
-    with pytest.raises(NumericsError):
-        ensure_psd(np.array([[np.nan]]))
+    assert _clip_psd(np.diag([1.0, -1.0])[None], np.ones(1))[1]
+    assert _clip_psd(np.array([[[np.nan]]]), np.ones(1))[1]
 
 
 def test_ensure_psd_scale_widens_tolerance():
     # Relative to its own largest eigenvalue the -1e-12 entry is badly
     # negative, but relative to the caller's scale it is roundoff.
-    a = np.diag([1e-20, -1e-12])
-    with pytest.raises(NumericsError):
-        ensure_psd(a)
-    out = ensure_psd(a, scale=1.0)
-    assert out[1, 1] == 0.0
+    a = np.diag([1e-20, -1e-12])[None]
+    assert _clip_psd(a, np.array([1e-12]))[1]
+    out, problems, _ = _clip_psd(a, np.ones(1))
+    assert not problems and out[0, 1, 1] == 0.0
 
 
 def test_ensure_psd_scalar_paths():
-    assert ensure_psd(np.array([[2.5]]))[0, 0] == 2.5
-    assert ensure_psd(np.array([[-1e-15]]), scale=1.0)[0, 0] == 0.0
-    with pytest.raises(NumericsError) as exc:
-        ensure_psd(np.array([[-0.5]]))
-    assert "variance -0.5 is negative" in str(exc.value)
-    assert "np.float64" not in str(exc.value)
+    assert _clip_psd(np.array([[[2.5]]]), np.ones(1))[0][0, 0, 0] == 2.5
+    assert _clip_psd(np.array([[[-1e-15]]]), np.ones(1))[0][0, 0, 0] == 0.0
+    message = _clip_psd(np.array([[[-0.5]]]), np.array([0.5]))[1][0]
+    assert "variance -0.5 is negative" in message
+    assert "np.float64" not in message
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -146,12 +135,10 @@ def test_clip_psd_reports_non_finite_input(bad):
     # the stack is clipped as on its own.
     for mat in (np.array([[bad]]), np.array([[1.0, bad], [bad, 2.0]])):
         good = np.eye(mat.shape[0])
-        for scale in (None, np.ones(2)):
-            out, problems, _ = _clip_psd(np.stack([good, mat]), scale)
-            assert list(problems) == [1] and "non-finite" in problems[1]
-            assert np.array_equal(out[0], good)
-        with pytest.raises(NumericsError, match="non-finite"):
-            ensure_psd(mat)
+        out, problems, _ = _clip_psd(np.stack([good, mat]), np.ones(2))
+        assert list(problems) == [1] and "non-finite" in problems[1]
+        assert np.array_equal(out[0], good)
+        assert "non-finite" in _clip_psd(mat[None], np.ones(1))[1][0]
 
 
 def test_gaussian_pdf_matches_scipy():
@@ -177,21 +164,9 @@ HUGE = np.diag([8e307] * 3)
 
 
 def test_huge_finite_matrices_pass_the_finite_screen():
-    assert np.array_equal(sqrt_psd(HUGE), np.diag([np.sqrt(8e307)] * 3))
-    assert np.array_equal(ensure_psd(HUGE), HUGE)
-    assert_allclose(solve_psd(HUGE, np.full(3, 8e307)), np.ones(3))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_matrices_still_raise(bad):
-    a = np.eye(3)
-    a[1, 2] = a[2, 1] = bad
-    with pytest.raises(NumericsError):
-        sqrt_psd(a)
-    with pytest.raises(NumericsError):
-        ensure_psd(a)
-    with pytest.raises(NumericsError):
-        solve_psd(a, np.ones(3))
+    assert np.array_equal(_psd_roots(HUGE[None])[0][0], np.diag([np.sqrt(8e307)] * 3))
+    assert np.array_equal(_clip_psd(HUGE[None], np.ones(1))[0][0], HUGE)
+    assert_allclose(_cho_solve_jittered(HUGE, np.full(3, 8e307)), np.ones(3))
 
 
 def _screened_roots(mat):
@@ -206,7 +181,6 @@ PSD_SCREENED = {
         mu_x=np.zeros(1), mu_f=np.zeros(2), s_xx=np.eye(1), s_ff=m, s_xf=np.zeros((1, 2))
     ),
     "FgfPosteriorParams": lambda m: FgfPosteriorParams(gamma=np.ones((2, 3)), sigma=m),
-    "sqrt_psd": sqrt_psd,
     "_psd_roots": _screened_roots,
 }
 

@@ -63,11 +63,21 @@ def test_belief_rejects_bad_input():
         GaussianBelief(np.zeros(2), np.eye(3))
 
 
+def test_belief_rejects_a_matrix_mean():
+    with pytest.raises(ValueError, match="mean must be a vector"):
+        GaussianBelief(np.zeros((2, 2)), np.eye(2))
+
+
 def test_model_validates_dimensions():
     with pytest.raises(ValueError):
         StateSpaceModel(0, 1, 1, 1, lambda x, v: x, lambda x, w: x)
     with pytest.raises(ValueError):
         StateSpaceModel(1, 1, 1, 1, None, lambda x, w: x)
+
+
+def test_model_rejects_a_non_callable_likelihood():
+    with pytest.raises(ValueError, match="likelihood must be callable"):
+        StateSpaceModel(1, 1, 1, 1, lambda x, v: x, lambda x, w: x, likelihood=1.0)
 
 
 def test_affine_process_validation():

@@ -168,6 +168,11 @@ def test_sample_points_place_states_like_the_filter(engine):
         assert np.array_equal(states, placed[0].T)
 
 
+def test_sample_points_reject_a_negative_noise_dim():
+    with pytest.raises(ValueError, match="noise_dim must be at least 0, got -1"):
+        sample_points(sigma_point(), GaussianBelief(0.0, 1.0), -1)
+
+
 def test_weighted_moments_match_plain_monte_carlo_averages():
     # The reference formulas are the unweighted Monte Carlo averages
     # (sum / n and einsum / n) that the weighted kernels replace.
