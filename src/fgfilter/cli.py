@@ -25,6 +25,8 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._linalg import NumericsError
 from .config import (
     _get,
@@ -199,8 +201,11 @@ def _cmd_density(args) -> int:
     affine = make_affine_feature(model.meas_dim)
     params_gf = fgf_solve(grid_joint_moments(joint, affine))
     params_fgf = fgf_solve(grid_joint_moments(joint, feature))
-    gf_means = affine.map(y_grid.values[:, None]) @ params_gf.gamma[0]
-    fgf_means = feature.map(y_grid.values[:, None]) @ params_fgf.gamma[0]
+    # Row-major feature values, so the curves' bits do not depend on the
+    # map's output layout.
+    ys = y_grid.values[:, None]
+    gf_means = np.ascontiguousarray(affine.map(ys)) @ params_gf.gamma[0]
+    fgf_means = np.ascontiguousarray(feature.map(ys)) @ params_fgf.gamma[0]
     path = args.out / f"density_{model.name}.csv"
     args.out.mkdir(parents=True, exist_ok=True)
     _write_density_csv(path, joint, gf_means, fgf_means)

@@ -106,7 +106,9 @@ def make_monomial_feature(meas_dim: int, order: int) -> FeatureFunction:
     """Componentwise monomials up to ``order``: (1, y, y^2, ..., y^order).
 
     Output layout is the constant, then all components of y, then all
-    components of y^2, and so on; out_dim = 1 + meas_dim * order.
+    components of y^2, and so on; out_dim = 1 + meas_dim * order. The
+    values are built component-major, one contiguous block per output,
+    and returned as the transposed view of shape (..., out_dim).
     """
     if not isinstance(meas_dim, (int, np.integer)) or meas_dim < 1:
         raise ValueError(f"meas_dim must be a positive integer, got {meas_dim!r}")
@@ -120,13 +122,16 @@ def make_monomial_feature(meas_dim: int, order: int) -> FeatureFunction:
             raise ValueError(
                 f"feature expects measurement dimension {meas_dim}, got {y.shape[-1]}"
             )
-        out = np.empty(y.shape[:-1] + (out_dim,))
-        out[..., 0] = 1.0
-        out[..., 1 : 1 + meas_dim] = y
+        # All axes reversed, so the output index leads and every output
+        # is written in one pass over a contiguous block.
+        yt = y.T
+        out = np.empty((out_dim,) + yt.shape[1:])
+        out[0] = 1.0
+        out[1 : 1 + meas_dim] = yt
         for k in range(1, order):
             lo = 1 + k * meas_dim
-            out[..., lo : lo + meas_dim] = out[..., lo - meas_dim : lo] * y
-        return out
+            np.multiply(out[lo - meas_dim : lo], yt, out=out[lo : lo + meas_dim])
+        return out.T
 
     name = "affine" if order == 1 else f"monomial{order}"
     return FeatureFunction(name=name, out_dim=out_dim, map=mapper)
@@ -313,23 +318,20 @@ def _predicted(model, points: PointSet | None, means, covs, roots=None):
     return _moments(prop, points.weights)
 
 
-def _stack(states, phis):
-    # z = (x, phi(y)) of one lane, component-major (dx + k, n), from its
-    # states (dx, n) and feature values (n, k). The constant feature
-    # entry rides along: its moments come out as mean 1 and covariance
-    # row 0, up to the roundoff of the weights' sum.
+def _raw_moments(states, phis, weights, z, zw):
+    # Weighted raw second moments E[z z^T] of one lane's z = (x, phi(y)),
+    # from its states (dx, n) and feature values (n, k), over the points.
+    # The fit needs exactly these, so they are accumulated directly, not
+    # rebuilt from central moments. z and zw are the pass's (dx + k, n)
+    # workspaces for z and its weighted copy; with a component-major
+    # feature map, phis.T is contiguous and its copy a row copy. The
+    # constant feature entry rides along: its moments come out as mean 1
+    # and covariance row 0, up to the roundoff of the weights' sum.
     dx = states.shape[0]
-    z = np.empty((dx + phis.shape[1], states.shape[1]))
     z[:dx] = states
     z[dx:] = phis.T
-    return z
-
-
-def _raw_moments(z, weights):
-    # Weighted raw second moments E[z z^T] over the last axis. The fit
-    # needs exactly these, so they are accumulated directly, not rebuilt
-    # from central moments.
-    return (z * weights) @ z.T
+    np.multiply(z, weights, out=zw)
+    return zw @ z.T
 
 
 def _gain(raw, dx):
@@ -407,7 +409,7 @@ def joint_moments(
     states = _place(points, belief.mean[None], _psd_roots(belief.cov[None])[0])
     ys = _map_points(model.observe, states, points.noises, model.meas_dim, "observation map")
     phis = _evaluate_feature(feature, ys[0].T)
-    mu, cov = _moments(_stack(states[0], phis), points.weights)
+    mu, cov = _moments(np.vstack((states[0], phis.T)), points.weights)
     dx = belief.state_dim
     return JointMoments(
         mu_x=mu[:dx],
@@ -489,7 +491,11 @@ def fgf_update(
     feature: FeatureFunction,
     y,
 ) -> GaussianBelief:
-    """Evaluate the fitted conditional at an observed measurement."""
+    """Evaluate the fitted conditional at an observed measurement.
+
+    ``params.sigma`` was screened when the parameters were made, so only
+    the new mean is screened here, for finiteness.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if not _finite(y):
         raise ValueError("measurement must be finite")
@@ -499,7 +505,10 @@ def fgf_update(
             f"feature dimension {phi.shape[0]} does not match fitted "
             f"parameters ({params.feature_dim})"
         )
-    return GaussianBelief(params.gamma @ phi, params.sigma)
+    mean = params.gamma @ phi
+    if not _finite(mean):
+        raise NumericsError("belief has non-finite mean or covariance")
+    return _owned(GaussianBelief, mean=mean, cov=params.sigma)
 
 
 @dataclass(frozen=True)
@@ -591,9 +600,12 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
     errors: list[NumericsError | None] = [None] * n_lanes
     dead = [False] * n_lanes
     rescale = [standardize and f.out_dim > dy + 1 for f in features]
+    # The input spread is taken from the first standardized lane of a seed
+    # on: the lanes before it never read it.
+    scaled = rescale.index(True) if any(rescale) else n_feat
     # One point set per distinct engine, its noises tiled once per lane of
     # a seed: seeds under one engine share its draws.
-    sets = {}
+    sets, spaces = {}, {}
     widest = max(f.out_dim for f in features)
     for engine in dict.fromkeys(engines):
         points = _unit_points(engine, dx, model.obs_noise_dim)
@@ -608,7 +620,16 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
         proc = _process_points(model, engine)
         if proc is not None:
             proc = replace(proc, noises=np.tile(proc.noises, (n_feat, 1)))
-        sets[engine] = (points, np.tile(points.noises, (n_feat, 1)), proc)
+        # Per feature, the z and weighted-z workspaces of _raw_moments,
+        # allocated once per shape: every lane of that feature width and
+        # point count writes its moments' operands there in turn.
+        work = []
+        for feat in features:
+            shape = (2, dx + feat.out_dim, points.weights.size)
+            if shape not in spaces:
+                spaces[shape] = np.empty(shape)
+            work.append(spaces[shape])
+        sets[engine] = (points, np.tile(points.noises, (n_feat, 1)), proc, work)
     seeds = [(slice(s * n_feat, (s + 1) * n_feat), *sets[e]) for s, e in enumerate(engines)]
     mean = np.repeat(prior.mean[None], n_lanes, axis=0)
     cov = np.repeat(prior.cov[None], n_lanes, axis=0)
@@ -646,7 +667,7 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
         else:
             # A seed with no lane left keeps its parked beliefs.
             pmean, pcov = mean.copy(), cov.copy()
-            for lanes, *_, proc in seeds:
+            for lanes, *_, proc, _ in seeds:
                 if all(dead[lanes]):
                     continue
                 given = None if post_roots is None else post_roots[lanes]
@@ -658,7 +679,7 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
                     fail(range(lanes.start, lanes.stop), err)
         roots, psd = _psd_roots(pcov)
         psd = psd.tolist()
-        for s, (lanes, points, noises, _) in enumerate(seeds):
+        for s, (lanes, points, noises, _, work) in enumerate(seeds):
             if all(dead[lanes]):
                 continue
             states = _place(points, pmean[lanes], roots[lanes])
@@ -667,8 +688,9 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
             except NumericsError as err:
                 fail(range(lanes.start, lanes.stop), err)
                 continue
-            if any(rescale):
-                shift[lanes], spread[lanes] = _input_spread(obs, points.weights)
+            if scaled < n_feat:
+                tail = slice(lanes.start + scaled, lanes.stop)
+                shift[tail], spread[tail] = _input_spread(obs[scaled:], points.weights)
             for f in range(n_feat):
                 j = lanes.start + f
                 if dead[j]:
@@ -678,7 +700,7 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
                     continue
                 try:
                     phis = feature(f, obs[f].T, j)
-                    raw = _raw_moments(_stack(states[f], phis), points.weights)
+                    raw = _raw_moments(states[f], phis, points.weights, *work[f])
                     raws[f][s] = raw
                     gammas[f][s] = _gain(raw, dx)
                 except NumericsError as err:
@@ -687,7 +709,9 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
         for f in range(n_feat):
             group = slice(f, None, n_feat)
             resid[group] = _residual(raws[f], gammas[f])
-            phi = feature(f, ys[:, t], group)
+            # C-contiguous, so the product's bits do not depend on the
+            # feature's output layout.
+            phi = np.ascontiguousarray(feature(f, ys[:, t], group))
             mean[group] = (gammas[f] @ phi[:, :, None])[:, :, 0]
         cov, problems, post_roots = _clip_psd(
             resid,

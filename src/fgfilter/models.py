@@ -306,8 +306,9 @@ def make_heaviside_model(
     process = AffineProcess(np.eye(1), np.zeros(1), np.eye(1))
 
     def _step(x):
-        # H(0) = 1 by convention.
-        return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0)
+        # The mask of H(x), H(0) = 1 by convention. step_height * mask is
+        # step_height * H(x), signed zeros included, without a select.
+        return np.asarray(x, dtype=float) >= 0.0
 
     def observe(x, w):
         return x + w + step_height * _step(x)

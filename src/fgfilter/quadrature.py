@@ -72,16 +72,9 @@ class ExpectationEngine:
             raise ValueError(
                 f"engine kind must be one of {tuple(_POINT_BUILDERS)}, got {self.kind!r}"
             )
-        for name in ("sample_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.kind == "monte_carlo" and self.sample_count < 2:
-            raise ValueError(
-                f"sample_count must be at least 2, got {self.sample_count}"
-            )
+        # Sigma points ignore the sample count, so any integer will do.
+        _integer("sample_count", self.sample_count, 2 if self.kind == "monte_carlo" else -np.inf)
+        _integer("seed", self.seed, 0)
         if not np.isfinite(self.kappa):
             raise ValueError("kappa must be finite")
 

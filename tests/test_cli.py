@@ -411,7 +411,7 @@ def test_negative_engine_seed_exits_one_before_filtering(tmp_path, monkeypatch, 
     out = tmp_path / "o"
     assert cli_main(["simulate", "--config", str(cfg), "--steps", "3", "--out", str(out)]) == 1
     assert not calls and not out.exists()
-    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

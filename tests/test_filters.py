@@ -67,6 +67,44 @@ def test_monomial_feature_batch_shapes():
     assert phis.shape == (17, 7)
     assert_allclose(phis[:, 0], 1.0)
     assert_allclose(phis[:, 5:7], ys**3)
+    # The map builds its output component-major and returns the
+    # transposed view; the values must not depend on the input's batch
+    # shape or strides.
+    ys = np.random.default_rng(1).standard_normal((3, 5, 2))
+    batch = feat.map(ys)
+    assert batch.shape == (3, 5, 7)
+    ref = np.concatenate([np.ones((3, 5, 1)), ys, ys**2, ys * ys * ys], axis=-1)
+    assert np.array_equal(batch, ref)
+    for s in range(3):
+        assert np.array_equal(feat.map(ys[s]), ref[s])
+        for i in range(5):
+            assert np.array_equal(feat.map(ys[s, i]), ref[s, i])
+    # A component-major block seen as (n, d), as the filter's observed
+    # points are, and a strided row view.
+    obs = np.ascontiguousarray(ys[0].T)
+    assert not obs.T.flags.c_contiguous
+    assert np.array_equal(feat.map(obs.T), ref[0])
+    assert np.array_equal(feat.map(ys[:, 2]), ref[:, 2])
+
+
+def test_row_major_user_feature_gives_the_same_posteriors():
+    # A user map returning a row-major copy of the built-in's values is
+    # copied into the moment workspace with other strides; the posteriors
+    # must be the same bits.
+    for (model, prior), order, standardize in (
+        (make_noise_magnitude_model(), 2, False),
+        (make_heaviside_model(), 3, True),
+    ):
+        base = make_monomial_feature(1, order)
+        rows = FeatureFunction(
+            "rows", base.out_dim, lambda y, base=base: np.ascontiguousarray(base.map(y))
+        )
+        meas = simulate(model, prior.mean, 40, seed=order)[1]
+        engine = monte_carlo(sample_count=500, seed=order)
+        got = run_filter_lanes(model, prior, [base, rows], engine, meas, standardize)
+        assert got.diverged_at == (None, None)
+        assert np.array_equal(got.means[0], got.means[1])
+        assert np.array_equal(got.covs[0], got.covs[1])
 
 
 def test_feature_validation():
@@ -524,6 +562,23 @@ def test_failing_lane_in_a_seed_block_is_contained():
             solo = run_filter(model, prior, feature, engines[s], meas[s, :n])
             assert np.array_equal(lanes.means[lane, :n], [b.mean for b in solo])
             assert np.array_equal(lanes.covs[lane, :n], [b.cov for b in solo])
+
+
+def test_block_mixing_point_counts_equals_each_solo_run():
+    # Seeds drawing 300 and 700 points alternate in one block; each
+    # (feature width, point count) has its own workspace, shared by the
+    # seeds with that count, so every seed matches its solo pass bit for
+    # bit, standardized inputs included.
+    model, prior = make_heaviside_model()
+    features = (make_affine_feature(1), make_monomial_feature(1, 2), make_monomial_feature(1, 3))
+    engines = [monte_carlo(sample_count=(300, 700)[s % 2], seed=s) for s in range(4)]
+    meas = np.stack([simulate(model, prior.mean, 30, seed=s)[1] for s in range(4)])
+    block = fgfilter.filters._filter_pass(model, prior, features, engines, meas, True)
+    for s, lanes in enumerate(block):
+        solo = run_filter_lanes(model, prior, features, engines[s], meas[s], standardize=True)
+        assert lanes.diverged_at == solo.diverged_at == (None, None, None)
+        assert np.array_equal(lanes.means, solo.means)
+        assert np.array_equal(lanes.covs, solo.covs)
 
 
 def test_failed_lane_is_parked_at_the_prior():

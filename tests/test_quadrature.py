@@ -47,7 +47,7 @@ def test_engine_validation():
         ({"sample_count": True}, "sample_count must be an integer, got True"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": False}, "seed must be an integer, got False"),
-        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
     ],
 )
 @pytest.mark.parametrize("kind", ["monte_carlo", "sigma_point"])
@@ -187,8 +187,10 @@ def test_weighted_moments_match_plain_monte_carlo_averages():
     def close(got, ref):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    for lane in z:
-        close(_raw_moments(lane, points.weights), np.einsum("in,jn->ij", lane, lane) / n)
+    work = np.empty((2, 5, n))
+    for x, lane in zip(states, z):
+        got = _raw_moments(x, lane[3:].T, points.weights, *work)
+        close(got, np.einsum("in,jn->ij", lane, lane) / n)
     mu, cov = _moments(z, points.weights)
     ref_mu = z.sum(axis=-1) / n
     zc = z - ref_mu[..., None]
