@@ -25,8 +25,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._linalg import NumericsError
 from .config import (
     _get,
@@ -43,7 +41,7 @@ from .experiments import (
     write_report_csv,
     write_summary_csv,
 )
-from .filters import fgf_solve, make_affine_feature, make_monomial_feature
+from .filters import _evaluate_feature, fgf_solve, make_affine_feature, make_monomial_feature
 from .gridoracle import (
     Grid1D,
     _state_grid,
@@ -201,11 +199,9 @@ def _cmd_density(args) -> int:
     affine = make_affine_feature(model.meas_dim)
     params_gf = fgf_solve(grid_joint_moments(joint, affine))
     params_fgf = fgf_solve(grid_joint_moments(joint, feature))
-    # Row-major feature values, so the curves' bits do not depend on the
-    # map's output layout.
     ys = y_grid.values[:, None]
-    gf_means = np.ascontiguousarray(affine.map(ys)) @ params_gf.gamma[0]
-    fgf_means = np.ascontiguousarray(feature.map(ys)) @ params_fgf.gamma[0]
+    gf_means = _evaluate_feature(affine, ys) @ params_gf.gamma[0]
+    fgf_means = _evaluate_feature(feature, ys) @ params_fgf.gamma[0]
     path = args.out / f"density_{model.name}.csv"
     args.out.mkdir(parents=True, exist_ok=True)
     _write_density_csv(path, joint, gf_means, fgf_means)

@@ -11,12 +11,12 @@ of state and features under the predicted belief:
     Gamma = E[x phi(y)^T] E[phi(y) phi(y)^T]^{-1}
     Sigma = E[(x - Gamma phi(y)) (x - Gamma phi(y))^T]
 
-With the affine feature phi(y) = (1, y) this reproduces the classical
-moment-matched Gaussian filter update exactly, so the plain filter is
-just the affine special case rather than a separate code path. Richer
-features let the posterior mean respond nonlinearly to y, which is what
-extracts information from measurements whose correlation with the state
-is purely higher-order.
+This is the Gaussian filter (GF) update on the virtual measurement
+phi(y)[1:]: conditioning the joint Gaussian of x and phi(y)[1:] gives
+the same posterior (:func:`gf_update`). The affine feature (1, y) makes
+it the plain GF on y. Richer features let the posterior mean respond
+nonlinearly to y, which is what extracts information from measurements
+whose correlation with the state is purely higher-order.
 
 Filtering runs as one fused pass over lanes. :func:`run_filter_lanes`
 filters one measurement sequence with one lane per feature, all lanes
@@ -77,9 +77,9 @@ class FeatureFunction:
     """Measurement feature map phi with a constant leading entry.
 
     ``map`` takes arrays of shape (..., meas_dim) to (..., out_dim) and
-    must put the constant 1 in the first output entry; the moment code
-    checks that on every evaluation. ``out_dim`` includes the constant,
-    so it is at least 2.
+    must put the constant 1 in the first output entry. The stage
+    functions check that on every evaluation, the filter pass on its
+    first step. ``out_dim`` includes the constant, so it is at least 2.
     """
 
     name: str
@@ -163,7 +163,8 @@ class JointMoments:
 
     ``mu_x``/``mu_f`` are the means, ``s_xx``/``s_ff`` the central
     covariances, ``s_xf`` the cross covariance; all central, raw moments
-    are reconstructed where needed. Arrays are stored read-only.
+    are reconstructed where needed. The first feature entry must be the
+    constant 1: mean 1 and no variance. Arrays are stored read-only.
     """
 
     mu_x: np.ndarray
@@ -189,6 +190,9 @@ class JointMoments:
             raise NumericsError("joint moments contain non-finite values")
         _require_psd(s_xx, "s_xx")
         _require_psd(s_ff, "s_ff")
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(s_ff))))
+        if abs(mu_f[0] - 1.0) > 1e-6 or np.max(np.abs(s_ff[0])) > tol:
+            raise ValueError("first feature entry is not the constant 1 (mean 1, no variance)")
         for name, arr in (
             ("mu_x", mu_x),
             ("mu_f", mu_f),
@@ -261,10 +265,11 @@ def _feature_values(feature: FeatureFunction, ys: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_feature(feature: FeatureFunction, ys: np.ndarray) -> np.ndarray:
+    # Row-major, so that products of the values do not depend on the map's layout.
     phis = _feature_values(feature, ys)
     if not _finite(phis):
         raise NumericsError(f"feature {feature.name!r} produced non-finite values")
-    return phis
+    return np.ascontiguousarray(phis)
 
 
 # The kernels below work on stacks of lanes: one lane per belief, all
@@ -420,23 +425,15 @@ def joint_moments(
     )
 
 
-def _require_affine(moments: JointMoments) -> None:
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(moments.s_ff))))
-    if abs(moments.mu_f[0] - 1.0) > 1e-6 or np.max(np.abs(moments.s_ff[0])) > tol:
-        raise ValueError(
-            "moments do not have affine-feature structure "
-            "(constant first entry with zero variance)"
-        )
-
-
 def gf_update(moments: JointMoments, y) -> GaussianBelief:
-    """Classical Gaussian-filter update by conditioning the joint Gaussian.
+    """GF update: condition the joint Gaussian on the virtual measurement.
 
-    ``moments`` must come from the affine feature (1, y); the leading
-    constant entry is stripped and the remaining block conditioned on
-    the observed measurement.
+    ``y`` is phi(y)[1:] for the feature that ``moments`` come from, the
+    actual measurement for the affine feature (1, y). For any feature the
+    posterior equals :func:`fgf_update` of :func:`fgf_solve`, reached
+    independently: a Schur complement in central moments, not a
+    regression in raw ones.
     """
-    _require_affine(moments)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dy = moments.feature_dim - 1
     if y.shape != (dy,):

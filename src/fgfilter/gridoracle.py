@@ -315,9 +315,7 @@ def grid_joint_moments(density: GridDensity2D, feature: FeatureFunction) -> Join
     """
     xc = density.x_grid.values - density.x_mean
     wy = density.wy
-    # Row-major, so the products' bits do not depend on the feature's
-    # output layout.
-    phis = np.ascontiguousarray(_evaluate_feature(feature, density.y_grid.values[:, None]))
+    phis = _evaluate_feature(feature, density.y_grid.values[:, None])
     mu_f = wy @ phis
     fc = phis - mu_f
     s_xx = np.array([[float((xc * xc) @ density.wx)]])
@@ -356,7 +354,7 @@ def kl_conditional(
     """
     if params.state_dim != 1:
         raise ValueError("KL objective supports scalar state only")
-    phis = np.ascontiguousarray(_evaluate_feature(feature, density.y_grid.values[:, None]))
+    phis = _evaluate_feature(feature, density.y_grid.values[:, None])
     if phis.shape[1] != params.feature_dim:
         raise ValueError(
             f"feature dimension {phis.shape[1]} does not match fitted "

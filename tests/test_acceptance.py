@@ -3,10 +3,10 @@
 Every test prints "criterion N (name): PASS" or "FAIL"; run with
 `pytest -s tests/test_acceptance.py` to watch the lines go by. The two
 100-seed tracking batches dominate the runtime. On a shared 2-vCPU
-Intel Xeon VM (Python 3.11) criterion 5 takes about 21 s (its reports
-are built one seed at a time), criterion 6 about 31 s (one batch call,
-filtered in blocks of ten seeds), and the whole Tier-1 suite of 294
-tests about 63 s.
+Intel Xeon VM (Python 3.11) criterion 5 takes about 18 s (its reports
+are built one seed at a time), criterion 6 about 23 s (one batch call,
+filtered in blocks of ten seeds), and the whole Tier-1 suite of 305
+tests about 53 s.
 """
 
 import functools

@@ -21,10 +21,14 @@ from fgfilter import (
     JointMoments,
     NumericsError,
     StateSpaceModel,
+    default_grids,
     fgf_solve,
     fgf_update,
     gf_update,
+    grid_joint_moments,
+    joint_density_grid,
     joint_moments,
+    kl_conditional,
     make_affine_feature,
     make_heaviside_model,
     make_monomial_feature,
@@ -90,7 +94,10 @@ def test_monomial_feature_batch_shapes():
 def test_row_major_user_feature_gives_the_same_posteriors():
     # A user map returning a row-major copy of the built-in's values is
     # copied into the moment workspace with other strides; the posteriors
-    # must be the same bits.
+    # must be the same bits. So must the grid oracle's moments, its KL
+    # score and the fitted curve that `density` writes, which take their
+    # products of feature values in the layout that _evaluate_feature
+    # hands out.
     for (model, prior), order, standardize in (
         (make_noise_magnitude_model(), 2, False),
         (make_heaviside_model(), 3, True),
@@ -105,6 +112,18 @@ def test_row_major_user_feature_gives_the_same_posteriors():
         assert got.diverged_at == (None, None)
         assert np.array_equal(got.means[0], got.means[1])
         assert np.array_equal(got.covs[0], got.covs[1])
+        joint = joint_density_grid(model, prior, *default_grids(model, prior, n=201))
+        ys = joint.y_grid.values[:, None]
+        moments, kls, curves = [], [], []
+        for feat in (base, rows):
+            moments.append(grid_joint_moments(joint, feat))
+            params = fgf_solve(moments[-1])
+            kls.append(kl_conditional(joint, params, feat))
+            curves.append(fgfilter.filters._evaluate_feature(feat, ys) @ params.gamma[0])
+        for field in dataclasses.fields(JointMoments):
+            assert np.array_equal(*(getattr(m, field.name) for m in moments))
+        assert kls[0] == kls[1]
+        assert np.array_equal(*curves)
 
 
 def test_feature_validation():
@@ -160,15 +179,15 @@ def test_joint_moments_finite_screen_does_not_overflow():
     # The entries of s_ff sum past the largest float, yet all are finite.
     huge = dict(
         mu_x=np.zeros(1),
-        mu_f=np.zeros(3),
+        mu_f=np.array([1.0, 0.0, 0.0, 0.0]),
         s_xx=np.eye(1),
-        s_ff=np.diag([8e307] * 3),
-        s_xf=np.zeros((1, 3)),
+        s_ff=np.diag([0.0] + [8e307] * 3),
+        s_xf=np.zeros((1, 4)),
     )
-    assert JointMoments(**huge).s_ff[0, 0] == 8e307
+    assert JointMoments(**huge).s_ff[1, 1] == 8e307
     for bad in (np.nan, np.inf, -np.inf):
-        s_ff = np.eye(3)
-        s_ff[2, 2] = bad
+        s_ff = np.diag([0.0, 1.0, 1.0, 1.0])
+        s_ff[3, 3] = bad
         with pytest.raises(NumericsError):
             JointMoments(**{**huge, "s_ff": s_ff})
 
@@ -247,20 +266,34 @@ def test_gf_update_matches_kalman_update():
         assert_allclose(post.cov, ref_cov, atol=1e-8)
 
 
-def test_gf_update_requires_affine_moments():
-    model, prior = make_noise_magnitude_model()
-    m = joint_moments(prior, model, make_monomial_feature(1, 2), sigma_point())
-    with pytest.raises(ValueError):
-        gf_update(m, np.zeros(1))
+@pytest.mark.parametrize("make", [make_noise_magnitude_model, make_heaviside_model])
+@pytest.mark.parametrize("order", [2, 3])
+def test_gf_update_on_the_virtual_measurement_is_the_fgf_update(make, order):
+    # The FGF is the GF on the virtual measurement phi(y)[1:]. The two
+    # sides are independent computations from the same moments: a Schur
+    # complement in central moments against a raw-moment regression.
+    # Monte Carlo, since a sigma-point set can leave the cubic Gram
+    # nearly interpolating its points.
+    model, prior = make()
+    feat = make_monomial_feature(1, order)
+    m = joint_moments(prior, model, feat, monte_carlo(5000, seed=1))
+    params = fgf_solve(m)
+    for y in np.linspace(-20.0, 60.0, 41):
+        via_gf = gf_update(m, feat.map(np.array([y]))[1:])
+        via_fgf = fgf_update(params, feat, [y])
+        assert_allclose(via_gf.mean, via_fgf.mean, rtol=1e-10, atol=0.0)
+        assert_allclose(via_gf.cov, via_fgf.cov, rtol=1e-10, atol=0.0)
 
 
-def test_gf_update_rejects_moments_without_a_constant_entry():
-    # Monomial moments of any order keep the constant entry; these do not.
-    m = JointMoments(
-        mu_x=np.zeros(1), mu_f=np.zeros(2), s_xx=np.eye(1), s_ff=np.eye(2), s_xf=np.zeros((1, 2))
-    )
-    with pytest.raises(ValueError, match="affine-feature structure"):
-        gf_update(m, np.zeros(1))
+def test_joint_moments_reject_moments_without_a_constant_entry():
+    # Monomial moments of any order keep the constant entry, mean 1 and
+    # no variance; these do not, so neither gf_update nor fgf_solve
+    # ever reads them.
+    for mu_f, s_ff in ((np.zeros(2), np.diag([0.0, 1.0])), (np.array([1.0, 0.0]), np.eye(2))):
+        with pytest.raises(ValueError, match="not the constant 1"):
+            JointMoments(
+                mu_x=np.zeros(1), mu_f=mu_f, s_xx=np.eye(1), s_ff=s_ff, s_xf=np.zeros((1, 2))
+            )
 
 
 def test_gf_update_validates_measurement():
@@ -331,13 +364,15 @@ def test_fgf_solve_reports_a_fit_it_cannot_screen():
     base = dict(
         mu_x=np.zeros(1), mu_f=np.array([1.0, 0.0]), s_xx=np.eye(1), s_ff=np.diag([0.0, 1.0])
     )
-    # Cross moments that no joint distribution has leave a negative residual.
-    with pytest.raises(NumericsError, match="variance -99.0 is negative"):
-        fgf_solve(JointMoments(**base, s_xf=np.array([[0.0, 10.0]])))
-    # A cross moment near the largest float overflows the fit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericsError, match="non-finite"):
-            fgf_solve(JointMoments(**base, s_xf=np.array([[0.0, 1e308]])))
+    # Both fits: the regression and the conditioning of the joint Gaussian.
+    for fit in (fgf_solve, lambda m: gf_update(m, np.zeros(1))):
+        # Cross moments that no joint distribution has leave a negative residual.
+        with pytest.raises(NumericsError, match="variance -99.0 is negative beyond tolerance"):
+            fit(JointMoments(**base, s_xf=np.array([[0.0, 10.0]])))
+        # A cross moment near the largest float overflows the fit.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match="non-finite"):
+                fit(JointMoments(**base, s_xf=np.array([[0.0, 1e308]])))
 
 
 def test_fgf_update_checks_feature_dimension():
@@ -346,6 +381,10 @@ def test_fgf_update_checks_feature_dimension():
         fgf_update(params, make_affine_feature(1), np.zeros(1))
     with pytest.raises(ValueError):
         fgf_update(params, make_monomial_feature(1, 2), np.array([np.inf]))
+    huge = FgfPosteriorParams(gamma=np.array([[1e308, 1e308]]), sigma=np.eye(1))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericsError, match="non-finite mean"):
+            fgf_update(huge, make_affine_feature(1), [10.0])
 
 
 def test_feature_must_keep_constant_entry():

@@ -178,7 +178,11 @@ def _screened_roots(mat):
 PSD_SCREENED = {
     "GaussianBelief": lambda m: GaussianBelief(np.zeros(2), m),
     "JointMoments": lambda m: JointMoments(
-        mu_x=np.zeros(1), mu_f=np.zeros(2), s_xx=np.eye(1), s_ff=m, s_xf=np.zeros((1, 2))
+        mu_x=np.zeros(2),
+        mu_f=np.array([1.0, 0.0]),
+        s_xx=m,
+        s_ff=np.diag([0.0, 1.0]),
+        s_xf=np.zeros((2, 2)),
     ),
     "FgfPosteriorParams": lambda m: FgfPosteriorParams(gamma=np.ones((2, 3)), sigma=m),
     "_psd_roots": _screened_roots,
