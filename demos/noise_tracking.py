@@ -3,8 +3,9 @@
 The state is the magnitude M of the measurement noise itself: every
 observation is y = M * w with w standard normal. M and y are exactly
 uncorrelated, so a plain Gaussian filter computing exact expectations
-would never move off its prior; driven by Monte Carlo it moves only on
-estimation noise. Adding y^2 to the feature vector exposes the scale
+never moves off its prior, and the experiment's default Gauss-Hermite
+rule computes them exactly (driven by Monte Carlo it would move only on
+estimation noise). Adding y^2 to the feature vector exposes the scale
 information and the feature filter locks on.
 
 Run:  python demos/noise_tracking.py
@@ -29,8 +30,8 @@ def main():
         fgf = float(rep.means[2][t])
         print(f"  {t:4d}  {truth:6.3f}  {gf:6.3f}  {fgf:10.3f}")
     print()
-    print("the plain column lags far behind the drift; the quadratic")
-    print("column follows it.")
+    print("the plain column holds its prior mean; the quadratic")
+    print("column follows the drift.")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ measurement update conditions on features of the measurement rather
 than the measurement itself. With the affine feature (1, y) this is the
 classical Gaussian filter; richer features recover information from
 measurements that are only nonlinearly informative. Expectations are
-pluggable (Monte Carlo or sigma points), and a brute-force grid oracle
-supplies exact scalar posteriors for validation.
+pluggable (Monte Carlo, sigma points or a Gauss-Hermite rule), and a
+brute-force grid oracle supplies exact scalar posteriors for validation.
 """
 
 from ._linalg import NumericsError
@@ -50,6 +50,7 @@ from .quadrature import (
     ExpectationEngine,
     expect,
     expected_likelihood_weight,
+    gauss_hermite,
     monte_carlo,
     sample_points,
     sigma_point,
@@ -76,6 +77,7 @@ __all__ = [
     "ExpectationEngine",
     "monte_carlo",
     "sigma_point",
+    "gauss_hermite",
     "sample_points",
     "expect",
     "expected_likelihood_weight",

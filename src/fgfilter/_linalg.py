@@ -153,7 +153,7 @@ def _clip_psd(a: np.ndarray, scale, roots: bool = False):
             )
     neg = np.flatnonzero(w[:, 0] < 0.0)
     if neg.size:
-        clipped = (vec[neg] * np.clip(w[neg], 0.0, None)[:, None, :]) @ vec[neg].swapaxes(1, 2)
+        clipped = (vec[neg] * np.maximum(w[neg], 0.0)[:, None, :]) @ vec[neg].swapaxes(1, 2)
         out[neg] = 0.5 * (clipped + clipped.swapaxes(1, 2))
     return out, problems, None
 
@@ -179,7 +179,7 @@ def _psd_roots(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _eig_roots(w, v):
     # Symmetric square roots from ascending eigenvalues (L, d) and
     # eigenvectors (L, d, d), negative eigenvalues taken as zero.
-    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.swapaxes(-1, -2)
+    return (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.swapaxes(-1, -2)
 
 
 def gaussian_pdf(x, mean=0.0, var=1.0):

@@ -8,11 +8,12 @@ and grouped by prefix. Recognized keys:
     model.prior_var     float, nonnegative
     model.noise_scale   float (noise_magnitude only)
     model.step_height   float (heaviside only)
-    engine.kind         monte_carlo | sigma_point
+    engine.kind         monte_carlo | sigma_point | gauss_hermite
     engine.samples      int (monte_carlo only; default 5000,
                         quadrature.DEFAULT_SAMPLE_COUNT)
     engine.seed         int (monte_carlo only)
     engine.kappa        float (sigma_point only)
+    engine.nodes        int, at least 2 (gauss_hermite only; default 3)
     feature.order       int (monomial order)
     feature.standardize true | false
     run.steps           int
@@ -23,11 +24,12 @@ and grouped by prefix. Recognized keys:
 
 A built-in model is defined in one place, ``experiments.EXPERIMENTS``:
 its model.* keys are its factory's parameters, and its default feature
-order and standardization come from there too. Unknown keys, model.*
-keys the selected model does not take and engine.* keys the selected
-engine kind ignores are rejected, so typos fail loudly; the CLI also
-rejects a key its subcommand does not read. Every model.* value must be
-finite.
+order, standardization and engine come from there too. Any engine.* key
+replaces that default engine, and engine.kind then defaults to
+monte_carlo. Unknown keys, model.* keys the selected model does not
+take and engine.* keys the selected engine kind ignores are rejected,
+so typos fail loudly; the CLI also rejects a key its subcommand does
+not read. Every model.* value must be finite.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ _MODEL_PARAMS = {
 _ENGINE_PARAMS = {
     "monte_carlo": {"samples": ("sample_count", int), "seed": ("seed", int)},
     "sigma_point": {"kappa": ("kappa", float)},
+    "gauss_hermite": {"nodes": ("nodes", int)},
 }
 
 KNOWN_KEYS = frozenset(

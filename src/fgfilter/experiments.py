@@ -5,10 +5,10 @@ filter with the affine feature (the plain Gaussian filter) and with
 each requested higher order, and reports per-step tracks plus RMSE
 summaries. A batch of seeds is filtered in blocks: each block is one
 fused pass whose lanes are seeds x orders. Every seed keeps its own
-measurements and its own point set, and its point work runs per seed;
-the small per-step algebra runs once over the whole block. A seed's
-report does not depend on the block it ran in, so a batch and the
-single-seed runners agree bit for bit. Everything is reproducible from
+measurements and its engine's point set, and its point work runs per
+seed; the small per-step algebra runs once over the whole block. A
+seed's report does not depend on the block it ran in, so a batch and
+the single-seed runners agree bit for bit. Everything is reproducible from
 (seed, configuration): data generation, engine draws, and CSV bytes.
 """
 
@@ -33,7 +33,7 @@ from .models import (
     make_noise_magnitude_model,
     simulate,
 )
-from .quadrature import ExpectationEngine, _unit_points, monte_carlo
+from .quadrature import ExpectationEngine, _unit_points, gauss_hermite, monte_carlo
 
 __all__ = [
     "EXPERIMENTS",
@@ -106,11 +106,11 @@ class ExperimentReport:
 
 # Seeds filtered together are capped by the points their pass holds,
 # seeds x lanes x points per lane, and a batch is split into blocks of
-# near-equal size. At the default 5000 draws and two orders a block holds
-# ten seeds, so a 20-seed call runs in two. Measured on a 2-vCPU Xeon,
-# ten and twenty seeds per block filter equally fast, but twenty hold
-# twice the point sets: peak RSS of a 20-seed simulate call rises 8.6%
-# over one seed at a time, against 4.7% at ten.
+# near-equal size. At heaviside's default 5000 draws and two orders a
+# block holds ten seeds, so a 20-seed call runs in two. Measured on a
+# 2-vCPU Xeon, ten and twenty seeds per block filter equally fast, but
+# twenty hold twice the point sets: peak RSS of a 20-seed simulate call
+# rises 8.6% over one seed at a time, against 4.7% at ten.
 _BLOCK_POINTS = 100_000
 
 
@@ -127,9 +127,9 @@ def _run_tracking(
     orders_run = tuple(sorted(set(int(o) for o in orders) | {1}))
     if any(o < 1 for o in orders_run):
         raise ValueError(f"feature orders must be positive, got {orders!r}")
-    # Without an engine, each seed's engine stream is tied to its
-    # trajectory seed, so seed batches see independent estimator noise.
-    engines = [monte_carlo(seed=seed) if engine is None else engine for seed in seeds]
+    # Without an engine, each seed takes its experiment's default engine.
+    default = _experiment(model.name).engine
+    engines = [default(seed, orders_run) if engine is None else engine for seed in seeds]
     features = [make_monomial_feature(model.meas_dim, order) for order in orders_run]
     points = _unit_points(engines[0], model.state_dim, model.obs_noise_dim).weights.size
     blocks = -(-len(seeds) * len(features) * points // _BLOCK_POINTS)
@@ -192,18 +192,38 @@ def _run_block(model, prior, steps, seeds, engines, features, orders_run, standa
 
 
 class Experiment(NamedTuple):
-    """A built-in: its model factory, default feature order and standardize."""
+    """A built-in: its model factory, default feature order and standardize.
+
+    ``engine`` gives a seed's default engine from the seed and the orders run.
+    """
 
     factory: Callable[..., tuple[StateSpaceModel, GaussianBelief]]
     order: int
     standardize: bool
+    engine: Callable[[int, tuple[int, ...]], ExpectationEngine]
 
 
-# The one place a built-in experiment is defined.
+def _exact_gauss_hermite(seed: int, orders: tuple[int, ...]) -> ExpectationEngine:
+    # On y = M w the order-k fit's raw moments are polynomials of degree
+    # 2k in each of M and w, which k + 1 nodes per axis integrate exactly.
+    return gauss_hermite(max(orders) + 1)
+
+
+def _seeded_monte_carlo(seed: int, orders: tuple[int, ...]) -> ExpectationEngine:
+    # The draw stream is tied to the trajectory seed, so seed batches see
+    # independent estimator noise.
+    return monte_carlo(seed=seed)
+
+
+# The one place a built-in experiment is defined. The heaviside step is
+# not polynomial, and under Gauss-Hermite rules criterion 6's far check
+# fails, so it keeps per-seed Monte Carlo.
 EXPERIMENTS: Mapping[str, Experiment] = MappingProxyType(
     {
-        "noise_magnitude": Experiment(make_noise_magnitude_model, 2, False),
-        "heaviside": Experiment(make_heaviside_model, 3, True),
+        "noise_magnitude": Experiment(
+            make_noise_magnitude_model, 2, False, _exact_gauss_hermite
+        ),
+        "heaviside": Experiment(make_heaviside_model, 3, True, _seeded_monte_carlo),
     }
 )
 
@@ -269,14 +289,15 @@ def run_experiment_batch(
 ) -> list[ExperimentReport]:
     """Run one experiment over consecutive seeds base_seed..base_seed+n-1.
 
-    ``orders`` and ``standardize`` left as None take the experiment's
-    defaults in :data:`EXPERIMENTS`; model keyword arguments go to its
-    factory. The seeds are filtered in blocks, each block as lanes of one
-    pass (seeds x orders); a seed's report does not depend on its block.
-    Reports come back ordered by seed; a numerical failure stays inside
-    its own seed and order, recorded in that report, and does not abort
-    the batch. ``n_seeds``, ``base_seed`` and ``steps`` must be integers
-    (not bools), at least 1, 0 and 1; anything else raises ValueError.
+    ``engine``, ``orders`` and ``standardize`` left as None take the
+    experiment's defaults in :data:`EXPERIMENTS`; model keyword arguments
+    go to its factory. The seeds are filtered in blocks, each block as
+    lanes of one pass (seeds x orders); a seed's report does not depend
+    on its block. Reports come back ordered by seed; a numerical failure
+    stays inside its own seed and order, recorded in that report, and
+    does not abort the batch. ``n_seeds``, ``base_seed`` and ``steps``
+    must be integers (not bools), at least 1, 0 and 1; anything else
+    raises ValueError.
     """
     entry = _experiment(model_name)
     _integer("n_seeds", n_seeds, 1)
@@ -329,6 +350,8 @@ def write_summary_csv(reports: Sequence[ExperimentReport], path) -> None:
         writer.writerow(SUMMARY_COLUMNS)
         for report in reports:
             engine = report.engine
+            # engine_samples holds the engine's point-count setting.
+            size = {"monte_carlo": engine.sample_count, "gauss_hermite": engine.nodes}
             for order in report.orders:
                 diverged = report.diverged_at[order]
                 writer.writerow(
@@ -338,7 +361,7 @@ def write_summary_csv(reports: Sequence[ExperimentReport], path) -> None:
                         order,
                         report.steps,
                         engine.kind,
-                        engine.sample_count if engine.kind == "monte_carlo" else "",
+                        size.get(engine.kind, ""),
                         _fmt(engine.kappa) if engine.kind == "sigma_point" else "",
                         engine.seed if engine.kind == "monte_carlo" else "",
                         _fmt(report.rmse[1]),

@@ -465,13 +465,16 @@ def fgf_solve(moments: JointMoments) -> FgfPosteriorParams:
     Solves E[phi phi^T] gamma^T = E[phi x^T] in the raw (non-central)
     moments reconstructed from ``moments``, then evaluates the residual
     covariance through its full quadratic form, which stays PSD even
-    when the Gram solve needed jitter.
+    when the Gram solve needed jitter. Raw moments that overflow float64,
+    as from means near 1e200, raise NumericsError.
     """
     m = moments
-    e_xf = m.s_xf + np.outer(m.mu_x, m.mu_f)
-    raw = np.block(
-        [[m.s_xx + np.outer(m.mu_x, m.mu_x), e_xf], [e_xf.T, m.s_ff + np.outer(m.mu_f, m.mu_f)]]
-    )
+    with np.errstate(over="ignore"):
+        e_xf = m.s_xf + np.outer(m.mu_x, m.mu_f)
+        e_xx = m.s_xx + np.outer(m.mu_x, m.mu_x)
+        raw = np.block([[e_xx, e_xf], [e_xf.T, m.s_ff + np.outer(m.mu_f, m.mu_f)]])
+    if not _finite(raw):
+        raise NumericsError("raw second moments overflow when rebuilt from the central moments")
     gamma = _gain(raw, m.state_dim)
     sigma, problems, _ = _clip_psd(
         _residual(raw[None], gamma[None]), _fit_scale(raw[None], m.state_dim)

@@ -6,11 +6,12 @@ Everything the filters need reduces to expectations of the form
 
 with x and u independent. An :class:`ExpectationEngine` realizes such
 an expectation as a weighted point set over the augmented (x, u) space;
-two families are provided, plain Monte Carlo and augmented-state sigma
-points. Whatever the family, the point set is one value, a
-:class:`PointSet` of unit offsets, noises and explicit weights, built by
-one small builder per engine kind; a belief places the offsets with
-:func:`_place`, and every expectation is a weighted sum over the points.
+three families are provided, plain Monte Carlo, augmented-state sigma
+points and a Gauss-Hermite product rule. Whatever the family, the point
+set is one value, a :class:`PointSet` of unit offsets, noises and
+explicit weights, built by one small builder per engine kind; a belief
+places the offsets with :func:`_place`, and every expectation is a
+weighted sum over the points.
 Engines are pure values: the same engine applied to the same belief
 always produces the same point set, so every estimate is reproducible
 from the engine configuration alone.
@@ -29,17 +30,18 @@ __all__ = [
     "ExpectationEngine",
     "monte_carlo",
     "sigma_point",
+    "gauss_hermite",
     "sample_points",
     "expect",
     "expected_likelihood_weight",
 ]
 
 # The one default Monte Carlo draw count, for engines built in code, from
-# a config file, or by the experiments. 5000 draws is the smallest count
-# at which every built-in experiment seed tracks cleanly: at 4000 one
-# heaviside seed in a hundred still blows up through the cubic fit, and
-# by 3000 the posterior spread detaches from the actual error on the
-# noise model.
+# a config file, or by the heaviside experiment. 5000 draws is the
+# smallest count at which every built-in experiment seed tracks cleanly
+# under Monte Carlo: at 4000 one heaviside seed in a hundred still blows
+# up through the cubic fit, and by 3000 the posterior spread detaches
+# from the actual error on the noise model.
 DEFAULT_SAMPLE_COUNT = 5000
 
 
@@ -50,30 +52,37 @@ class ExpectationEngine:
     Parameters
     ----------
     kind : str
-        ``"monte_carlo"`` or ``"sigma_point"``.
+        ``"monte_carlo"``, ``"sigma_point"`` or ``"gauss_hermite"``.
     sample_count : int
-        Number of Monte Carlo samples; ignored by sigma points.
+        Number of Monte Carlo samples; ignored by the other kinds.
     kappa : float
         Sigma-point spread. The point set covers the augmented
         dimension d = state_dim + noise_dim with 2d + 1 points scaled
-        by sqrt(d + kappa); kappa must exceed -d. Ignored by Monte
-        Carlo.
+        by sqrt(d + kappa); kappa must exceed -d. Ignored by the
+        other kinds.
     seed : int
-        Seed of the Monte Carlo draw stream, nonnegative; ignored by sigma points.
+        Seed of the Monte Carlo draw stream, nonnegative; ignored by the
+        other kinds.
+    nodes : int
+        Gauss-Hermite nodes per augmented axis, at least 2; the rule has
+        nodes**d points and is exact for polynomials of degree up to
+        2 * nodes - 1 in each variable. Ignored by the other kinds.
     """
 
     kind: str
     sample_count: int = DEFAULT_SAMPLE_COUNT
     kappa: float = 0.0
     seed: int = 0
+    nodes: int = 3
 
     def __post_init__(self):
         if self.kind not in _POINT_BUILDERS:
             raise ValueError(
                 f"engine kind must be one of {tuple(_POINT_BUILDERS)}, got {self.kind!r}"
             )
-        # Sigma points ignore the sample count, so any integer will do.
+        # A kind that ignores a count takes any integer there.
         _integer("sample_count", self.sample_count, 2 if self.kind == "monte_carlo" else -np.inf)
+        _integer("nodes", self.nodes, 2 if self.kind == "gauss_hermite" else -np.inf)
         _integer("seed", self.seed, 0)
         if not np.isfinite(self.kappa):
             raise ValueError("kappa must be finite")
@@ -89,6 +98,15 @@ def monte_carlo(
 def sigma_point(kappa: float = 0.0) -> ExpectationEngine:
     """Deterministic sigma-point engine, exact for polynomials of total degree <= 2."""
     return ExpectationEngine("sigma_point", kappa=kappa)
+
+
+def gauss_hermite(nodes: int = 3) -> ExpectationEngine:
+    """Deterministic Gauss-Hermite product rule with ``nodes`` points per axis.
+
+    Exact for every polynomial of degree <= 2 * nodes - 1 in each of the
+    augmented state and noise variables (Ito & Xiong, IEEE TAC 2000).
+    """
+    return ExpectationEngine("gauss_hermite", nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -141,8 +159,22 @@ def _sigma_points(engine: ExpectationEngine, dx: int, noise_dim: int) -> PointSe
     return PointSet(offsets, noises, weights)
 
 
+def _gauss_hermite_points(engine: ExpectationEngine, dx: int, noise_dim: int) -> PointSet:
+    # Tensor product of the probabilists' rule over the dx + noise_dim
+    # augmented axes, the last axis varying fastest; weights sum to 1.
+    x, w = np.polynomial.hermite_e.hermegauss(engine.nodes)
+    index = np.indices((engine.nodes,) * (dx + noise_dim)).reshape(dx + noise_dim, -1)
+    table = x[index]
+    weights = np.prod(w[index], axis=0)
+    return PointSet(table[:dx], table[dx:].T, weights / weights.sum())
+
+
 # The point-set builder of each engine kind.
-_POINT_BUILDERS = {"monte_carlo": _monte_carlo_points, "sigma_point": _sigma_points}
+_POINT_BUILDERS = {
+    "monte_carlo": _monte_carlo_points,
+    "sigma_point": _sigma_points,
+    "gauss_hermite": _gauss_hermite_points,
+}
 
 
 def _unit_points(engine: ExpectationEngine, state_dim: int, noise_dim: int) -> PointSet:
@@ -177,7 +209,8 @@ def sample_points(
         Weights summing to 1; ``noises`` and ``weights`` are read-only.
         Monte Carlo weights all equal 1/n_points. Sigma points come ordered
         center first, then the +/- state columns, then the +/- noise
-        axes; with kappa = 0 the center weight is 0.
+        axes; with kappa = 0 the center weight is 0. Gauss-Hermite points
+        come as the product grid, the last noise axis varying fastest.
     """
     _integer("noise_dim", noise_dim, 0)
     points = _unit_points(engine, belief.state_dim, noise_dim)

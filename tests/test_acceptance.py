@@ -5,8 +5,8 @@ Every test prints "criterion N (name): PASS" or "FAIL"; run with
 100-seed tracking batches dominate the runtime. On a shared 2-vCPU
 Intel Xeon VM (Python 3.11) criterion 5 takes about 18 s (its reports
 are built one seed at a time), criterion 6 about 23 s (one batch call,
-filtered in blocks of ten seeds), and the whole Tier-1 suite of 305
-tests about 53 s.
+filtered in blocks of ten seeds), and the whole Tier-1 suite of 327
+tests about 54 s.
 """
 
 import functools

@@ -75,6 +75,23 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text, nodes",
+    [("", "3"), ("engine.kind = gauss_hermite\nengine.nodes = 4\n", "4")],
+)
+def test_simulate_writes_a_gauss_hermite_summary_row(tmp_path, text, nodes):
+    # The noise experiment's default engine, and one set in a config file.
+    cfg = _write_config(tmp_path, f"model.name = noise_magnitude\n{text}")
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg), "--steps", "5", "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["order"] for row in rows] == ["1", "2"]
+    for row in rows:
+        engine = [row[c] for c in ("engine_kind", "engine_samples", "engine_kappa", "engine_seed")]
+        assert engine == ["gauss_hermite", nodes, "", ""]
+
+
 def test_density_grid_and_columns(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli_main(
@@ -280,6 +297,9 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         ("simulate", "engine.samples = 500\nengine.kind = sigma_point"),
         ("simulate", "engine.seed = 3\nengine.kind = sigma_point"),
         ("simulate", "engine.kappa = 1\nengine.kind = monte_carlo"),
+        ("simulate", "engine.nodes = 4\nengine.kind = monte_carlo"),
+        ("simulate", "engine.samples = 500\nengine.kind = gauss_hermite"),
+        ("simulate", "engine.kappa = 1\nengine.kind = gauss_hermite"),
         # model values that parse but that no model can take
         ("simulate", "model.prior_var = -1"),
         ("simulate", "model.prior_var = nan"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fgfilter import run_noise_experiment
+from fgfilter import run_heaviside_experiment
 from fgfilter.config import (
     engine_from_config,
     load_config,
@@ -97,6 +97,11 @@ def test_engine_from_config():
     assert eng.kind == "monte_carlo" and eng.sample_count == 500
     eng = engine_from_config({"engine.kind": "sigma_point", "engine.kappa": "1.5"})
     assert eng.kind == "sigma_point" and eng.kappa == 1.5
+    eng = engine_from_config({"engine.kind": "gauss_hermite", "engine.nodes": "4"})
+    assert eng.kind == "gauss_hermite" and eng.nodes == 4
+    assert engine_from_config({"engine.kind": "gauss_hermite"}).nodes == 3
+    with pytest.raises(ValueError, match="nodes must be at least 2"):
+        engine_from_config({"engine.kind": "gauss_hermite", "engine.nodes": "1"})
     with pytest.raises(ValueError):
         engine_from_config({"engine.kind": "quasi_random"})
     # Keys that the selected kind would ignore are rejected, naming both.
@@ -104,6 +109,11 @@ def test_engine_from_config():
         ("sigma_point", "engine.samples"),
         ("sigma_point", "engine.seed"),
         ("monte_carlo", "engine.kappa"),
+        ("monte_carlo", "engine.nodes"),
+        ("sigma_point", "engine.nodes"),
+        ("gauss_hermite", "engine.samples"),
+        ("gauss_hermite", "engine.seed"),
+        ("gauss_hermite", "engine.kappa"),
     ]:
         with pytest.raises(ValueError, match=f"'{key}'.*'{kind}'"):
             engine_from_config({"engine.kind": kind, key: "3"})
@@ -113,7 +123,8 @@ def test_engine_from_config():
 
 def test_engine_draw_default_is_shared():
     # A config that sets engine keys but no draw count gets the same
-    # count as an experiment run without an engine.
+    # count as an experiment run without an engine (heaviside's default
+    # engine is Monte Carlo).
     eng = engine_from_config({"engine.seed": "3"})
-    report = run_noise_experiment(steps=3, seed=0)
+    report = run_heaviside_experiment(steps=3, seed=0)
     assert eng.sample_count == report.engine.sample_count == DEFAULT_SAMPLE_COUNT

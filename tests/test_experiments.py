@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgfilter import (
+    gauss_hermite,
     make_heaviside_model,
     monte_carlo,
     run_experiment_batch,
@@ -61,14 +62,15 @@ def test_sigma_engine_is_blind_to_noise_magnitude():
     # With sigma points the state/measurement cross moments vanish
     # identically at every feature order (no point displaces state and
     # observation noise together), so both posteriors stay pinned at the
-    # prior mean. This is why the experiments default to Monte Carlo.
+    # prior mean. This is why the noise experiment defaults to a
+    # Gauss-Hermite product rule, whose points displace both together.
     rep = run_noise_experiment(steps=50, seed=0, engine=sigma_point())
     assert np.max(np.abs(rep.means[1] - 5.0)) < 1e-9
     assert np.max(np.abs(rep.means[2] - 5.0)) < 1e-9
 
 
 def test_monte_carlo_engine_sees_the_magnitude():
-    rep = run_noise_experiment(steps=50, seed=0)
+    rep = run_noise_experiment(steps=50, seed=0, engine=monte_carlo(seed=0))
     assert rep.rmse[2] < rep.rmse[1]
 
 
@@ -194,7 +196,8 @@ def test_batch_reports_equal_solo_runs(monkeypatch, model_name, budget, batch):
 
 def test_batch_engines(monkeypatch):
     # An explicit engine gives every seed the same point set, built once;
-    # without one, each seed draws its own monte_carlo(seed=seed) stream.
+    # without one, each heaviside seed draws its own monte_carlo(seed=seed)
+    # stream, and the noise seeds share one Gauss-Hermite rule, built once.
     built = []
     unit_points = fgfilter.filters._unit_points
 
@@ -210,12 +213,19 @@ def test_batch_engines(monkeypatch):
     for report in reports:
         _assert_same_report(report, run_noise_experiment(steps=15, seed=report.seed, engine=shared))
     built.clear()
-    reports = run_experiment_batch("noise_magnitude", n_seeds=3, base_seed=4, steps=15)
+    reports = run_experiment_batch("heaviside", n_seeds=3, base_seed=4, steps=15)
     assert built == [monte_carlo(seed=s) for s in (4, 5, 6)]
     for report in reports:
         own = monte_carlo(seed=report.seed)
         assert report.engine == own
-        _assert_same_report(report, run_noise_experiment(steps=15, seed=report.seed, engine=own))
+        _assert_same_report(report, run_heaviside_experiment(steps=15, seed=report.seed, engine=own))
+    built.clear()
+    reports = run_experiment_batch("noise_magnitude", n_seeds=3, base_seed=4, steps=15)
+    assert built == [gauss_hermite(3)]
+    assert [r.engine for r in reports] == [gauss_hermite(3)] * 3
+    # The rule is the smallest exact one for the highest order run.
+    cubic = run_experiment_batch("noise_magnitude", n_seeds=1, steps=3, orders=(3,))
+    assert cubic[0].engine == gauss_hermite(4)
 
 
 def test_runtime_is_the_seed_share_of_its_block():

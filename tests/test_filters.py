@@ -8,6 +8,7 @@ a fused multi-lane pass equals one solo run per lane.
 """
 
 import dataclasses
+import warnings
 
 import fgfilter.filters
 import numpy as np
@@ -373,6 +374,21 @@ def test_fgf_solve_reports_a_fit_it_cannot_screen():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError, match="non-finite"):
                 fit(JointMoments(**base, s_xf=np.array([[0.0, 1e308]])))
+
+
+def test_fgf_solve_names_a_raw_moment_overflow():
+    # Finite, screened central moments whose raw Gram s_ff + mu_f mu_f^T
+    # overflows: the fit says so, and numpy's overflow warning stays inside.
+    m = JointMoments(
+        mu_x=[0.0], mu_f=[1.0, 1e200], s_xx=[[1.0]], s_ff=np.diag([0.0, 1.0]), s_xf=[[0.0, 0.0]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="raw second moments overflow"):
+            fgf_solve(m)
+    # Conditioning the central moments needs no raw ones.
+    post = gf_update(m, [1e200])
+    assert post.mean[0] == 0.0 and post.cov[0, 0] == 1.0
 
 
 def test_fgf_update_checks_feature_dimension():

@@ -1,7 +1,8 @@
 """Tests for the expectation engines.
 
 Sigma points must be exact on polynomials of total degree two and
-deterministic; Monte Carlo must be reproducible from the seed with the
+deterministic; the Gauss-Hermite rule must be exact on the noise model's
+moments; Monte Carlo must be reproducible from the seed with the
 familiar 1/sqrt(n) error decay. Every engine's point set carries
 explicit weights, and the filter's weighted moment kernels reproduce the
 plain Monte Carlo averages. The expected-likelihood-weight helper is
@@ -18,6 +19,12 @@ from fgfilter import (
     NumericsError,
     expect,
     expected_likelihood_weight,
+    fgf_solve,
+    gauss_hermite,
+    gaussian_moment_oracle,
+    joint_moments,
+    make_affine_feature,
+    make_noise_magnitude_model,
     monte_carlo,
     sample_points,
     sigma_point,
@@ -35,8 +42,11 @@ def test_engine_validation():
         ExpectationEngine("monte_carlo", sample_count=1)
     with pytest.raises(ValueError):
         ExpectationEngine("sigma_point", kappa=np.nan)
+    with pytest.raises(ValueError, match="nodes must be at least 2, got 1"):
+        gauss_hermite(1)
     assert monte_carlo().kind == "monte_carlo"
     assert sigma_point().kappa == 0.0
+    assert gauss_hermite() == ExpectationEngine("gauss_hermite", nodes=3)
 
 
 @pytest.mark.parametrize(
@@ -48,9 +58,11 @@ def test_engine_validation():
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": False}, "seed must be an integer, got False"),
         ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"nodes": 2.5}, "nodes must be an integer, got 2.5"),
+        ({"nodes": True}, "nodes must be an integer, got True"),
     ],
 )
-@pytest.mark.parametrize("kind", ["monte_carlo", "sigma_point"])
+@pytest.mark.parametrize("kind", ["monte_carlo", "sigma_point", "gauss_hermite"])
 def test_engine_rejects_non_integer_counts_and_seeds(kind, kwargs, message):
     # Caught at construction, not later inside a filter pass.
     with pytest.raises(ValueError, match=message):
@@ -79,6 +91,49 @@ def test_sigma_point_layout_and_weights():
     assert_allclose(noises[1:5], 0.0)
     assert_allclose(states[5:7], np.tile(belief.mean, (2, 1)))
     assert_allclose(noises[5] + noises[6], 0.0)
+
+
+def test_gauss_hermite_layout_and_weights():
+    # The product grid over (x, u), the last axis varying fastest, with
+    # the normalized probabilists' weights of each axis multiplied.
+    points = _unit_points(gauss_hermite(3), 1, 1)
+    root3 = np.sqrt(3.0)
+    assert_allclose(points.offsets, [np.repeat([-root3, 0.0, root3], 3)], rtol=1e-15)
+    assert_allclose(points.noises[:, 0], np.tile([-root3, 0.0, root3], 3), rtol=1e-15)
+    axis = np.array([1.0, 4.0, 1.0]) / 6.0
+    assert_allclose(points.weights, np.outer(axis, axis).ravel(), rtol=1e-14)
+    assert points.offsets.flags.c_contiguous
+    assert _unit_points(gauss_hermite(4), 2, 1).weights.shape == (64,)
+
+
+@pytest.mark.parametrize("mean, var", [(5.0, 1.0), (3.2, 0.4)])
+def test_gauss_hermite_is_exact_on_the_noise_model(mean, var):
+    # y = M w. Every entry of E[z z^T], z = (M, 1, y, y^2), is E[M^a] E[w^b]
+    # with a, b <= 4, which three nodes per axis integrate exactly.
+    model, _ = make_noise_magnitude_model()
+    belief = GaussianBelief(np.array([mean]), np.array([[var]]))
+    powers = [(1, 0), (0, 0), (1, 1), (2, 2)]  # z_i = M^a w^b
+
+    def outer(x, u):
+        m, y = x[:, 0], x[:, 0] * u[:, 0]
+        z = np.stack([m, np.ones_like(m), y, y * y], axis=1)
+        return (z[:, :, None] * z[:, None, :]).reshape(len(m), -1)
+
+    got = expect(gauss_hermite(3), belief, 1, outer).reshape(4, 4)
+    exact = np.array(
+        [
+            [
+                gaussian_moment_oracle(mean, var, a + c) * gaussian_moment_oracle(0.0, 1.0, b + d)
+                for c, d in powers
+            ]
+            for a, b in powers
+        ]
+    )
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # So cov(M, y) is exactly zero: the GF's gain on y vanishes and the
+    # affine lane holds its prior mean.
+    params = fgf_solve(joint_moments(belief, model, make_affine_feature(1), gauss_hermite(3)))
+    assert abs(params.gamma[0, 1]) <= 1e-12
 
 
 def test_sigma_point_zero_kappa_drops_center():
@@ -138,7 +193,8 @@ def test_monte_carlo_reproducible():
 
 
 def test_point_sets_have_explicit_read_only_weights():
-    for engine in (monte_carlo(sample_count=128, seed=0), sigma_point(), sigma_point(2.0)):
+    engines = (monte_carlo(sample_count=128, seed=0), sigma_point(), sigma_point(2.0), gauss_hermite())
+    for engine in engines:
         for dx, noise_dim in ((1, 0), (1, 1), (2, 1), (3, 2)):
             points = _unit_points(engine, dx, noise_dim)
             n = points.weights.shape[0]
@@ -155,7 +211,9 @@ def test_point_sets_have_explicit_read_only_weights():
     assert not weights.flags.writeable
 
 
-@pytest.mark.parametrize("engine", [monte_carlo(sample_count=256, seed=3), sigma_point(1.0)])
+@pytest.mark.parametrize(
+    "engine", [monte_carlo(sample_count=256, seed=3), sigma_point(1.0), gauss_hermite(4)]
+)
 def test_sample_points_place_states_like_the_filter(engine):
     # sample_points and the filter map offsets onto a belief with the
     # same kernel and the same root, so the states agree bit for bit.
