@@ -24,7 +24,6 @@ from .filters import (
     predict,
     run_filter,
     run_filter_lanes,
-    standardize_feature,
 )
 from .gridoracle import (
     Grid1D,
@@ -86,7 +85,6 @@ __all__ = [
     "FgfPosteriorParams",
     "make_affine_feature",
     "make_monomial_feature",
-    "standardize_feature",
     "predict",
     "joint_moments",
     "gf_update",

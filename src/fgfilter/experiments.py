@@ -124,9 +124,9 @@ def _run_tracking(
     standardize: bool,
 ) -> list[ExperimentReport]:
     # One report per seed, the seeds filtered in blocks of one pass each.
-    orders_run = tuple(sorted(set(int(o) for o in orders) | {1}))
-    if any(o < 1 for o in orders_run):
-        raise ValueError(f"feature orders must be positive, got {orders!r}")
+    for order in orders:
+        _integer("order", order, 1)
+    orders_run = tuple(sorted(set(orders) | {1}))
     # Without an engine, each seed takes its experiment's default engine.
     default = _experiment(model.name).engine
     engines = [default(seed, orders_run) if engine is None else engine for seed in seeds]
@@ -295,9 +295,9 @@ def run_experiment_batch(
     lanes of one pass (seeds x orders); a seed's report does not depend
     on its block. Reports come back ordered by seed; a numerical failure
     stays inside its own seed and order, recorded in that report, and
-    does not abort the batch. ``n_seeds``, ``base_seed`` and ``steps``
-    must be integers (not bools), at least 1, 0 and 1; anything else
-    raises ValueError.
+    does not abort the batch. ``n_seeds``, ``base_seed``, ``steps`` and
+    each order must be integers (not bools), at least 1, 0, 1 and 1;
+    anything else raises ValueError.
     """
     entry = _experiment(model_name)
     _integer("n_seeds", n_seeds, 1)

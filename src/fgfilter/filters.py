@@ -51,7 +51,7 @@ from ._linalg import (
     _require_psd,
     symmetrize,
 )
-from .models import GaussianBelief, StateSpaceModel, _owned
+from .models import GaussianBelief, StateSpaceModel, _integer, _owned
 from .quadrature import ExpectationEngine, PointSet, _place, _unit_points
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "FgfPosteriorParams",
     "make_affine_feature",
     "make_monomial_feature",
-    "standardize_feature",
     "predict",
     "joint_moments",
     "gf_update",
@@ -89,10 +88,7 @@ class FeatureFunction:
     def __post_init__(self):
         if not self.name:
             raise ValueError("feature needs a nonempty name")
-        if not isinstance(self.out_dim, (int, np.integer)) or self.out_dim < 2:
-            raise ValueError(
-                f"out_dim must be at least 2 (constant plus payload), got {self.out_dim!r}"
-            )
+        _integer("out_dim", self.out_dim, 2)
         if not callable(self.map):
             raise ValueError("map must be callable")
 
@@ -110,10 +106,8 @@ def make_monomial_feature(meas_dim: int, order: int) -> FeatureFunction:
     values are built component-major, one contiguous block per output,
     and returned as the transposed view of shape (..., out_dim).
     """
-    if not isinstance(meas_dim, (int, np.integer)) or meas_dim < 1:
-        raise ValueError(f"meas_dim must be a positive integer, got {meas_dim!r}")
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
+    _integer("meas_dim", meas_dim, 1)
+    _integer("order", order, 1)
     out_dim = 1 + meas_dim * order
 
     def mapper(y):
@@ -135,26 +129,6 @@ def make_monomial_feature(meas_dim: int, order: int) -> FeatureFunction:
 
     name = "affine" if order == 1 else f"monomial{order}"
     return FeatureFunction(name=name, out_dim=out_dim, map=mapper)
-
-
-def standardize_feature(base: FeatureFunction, shift, scale) -> FeatureFunction:
-    """Apply ``base`` to the rescaled measurement (y - shift) / scale.
-
-    For monomial features this spans the same function space as the raw
-    feature, so the fitted posterior is unchanged in exact arithmetic;
-    what changes is the conditioning of the feature Gram matrix.
-    """
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    scale = np.atleast_1d(np.asarray(scale, dtype=float))
-    if np.any(scale <= 0.0) or not _finite(scale):
-        raise ValueError("scale must be positive and finite")
-
-    def mapper(y):
-        return base.map((np.asarray(y, dtype=float) - shift) / scale)
-
-    return FeatureFunction(
-        name=f"{base.name}_standardized", out_dim=base.out_dim, map=mapper
-    )
 
 
 @dataclass(frozen=True)
@@ -456,7 +430,9 @@ def gf_update(moments: JointMoments, y) -> GaussianBelief:
     cov, problems, _ = _clip_psd((moments.s_xx - gain @ s_xy.T)[None], np.array([scale]))
     if problems:
         raise NumericsError(problems[0])
-    return GaussianBelief(mean, cov[0])
+    if not _finite(mean):
+        raise NumericsError("belief has non-finite mean or covariance")
+    return _owned(GaussianBelief, mean=mean, cov=cov[0])
 
 
 def fgf_solve(moments: JointMoments) -> FgfPosteriorParams:

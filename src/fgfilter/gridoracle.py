@@ -51,6 +51,10 @@ COVERAGE_TOL = 1e-3
 # grid size.
 _BLOCK_CELLS = 1 << 15
 
+# Monte Carlo draws from which default_grids takes the measurement's mean
+# and spread to place the y grid.
+_Y_SAMPLES = 100_000
+
 
 class GridCoverageWarning(UserWarning):
     """The grid fails to capture the joint density to the advertised tolerance."""
@@ -68,8 +72,7 @@ class Grid1D:
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.lo >= self.hi:
             raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"need at least 2 cells, got {self.n!r}")
+        _integer("n", self.n, 2)
         values = self.lo + (np.arange(self.n) + 0.5) * self.spacing
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -175,7 +178,6 @@ def default_grids(
     n: int = 2001,
     span: float = 6.0,
     seed: int = 0,
-    samples: int = 100_000,
 ) -> tuple[Grid1D, Grid1D]:
     """Pick grids covering ``span`` standard deviations on both axes.
 
@@ -187,8 +189,8 @@ def default_grids(
     _require_scalar(model)
     x_grid = _state_grid(belief, n, span)
     rng = np.random.default_rng(seed)
-    xs = belief.mean[0] + np.sqrt(belief.cov[0, 0]) * rng.standard_normal((samples, 1))
-    ws = rng.standard_normal((samples, model.obs_noise_dim))
+    xs = belief.mean[0] + np.sqrt(belief.cov[0, 0]) * rng.standard_normal((_Y_SAMPLES, 1))
+    ws = rng.standard_normal((_Y_SAMPLES, model.obs_noise_dim))
     ys = np.asarray(model.observe(xs, ws), dtype=float)[:, 0]
     spread = float(ys.std())
     if spread <= 0.0:
@@ -377,8 +379,7 @@ def gaussian_moment_oracle(mean: float, var: float, k: int) -> float:
     m_k = mean * m_{k-1} + (k - 1) * var * m_{k-2}, supported for
     k <= 8; anything higher is outside this oracle's tested range.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    _integer("k", k, 0)
     if k > 8:
         raise ValueError(f"moment order {k} exceeds the supported maximum 8")
     if not (np.isfinite(mean) and np.isfinite(var)) or var < 0.0:

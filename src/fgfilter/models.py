@@ -123,9 +123,7 @@ class StateSpaceModel:
 
     def __post_init__(self):
         for label in ("state_dim", "meas_dim", "process_noise_dim", "obs_noise_dim"):
-            value = getattr(self, label)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{label} must be a positive integer, got {value!r}")
+            _integer(label, getattr(self, label), 1)
         if not callable(self.process) or not callable(self.observe):
             raise ValueError("process and observe must be callable")
         if self.likelihood is not None and not callable(self.likelihood):
@@ -346,8 +344,8 @@ def simulate(
     steps : int
         Number of transitions; must be at least 1.
     seed : int
-        Seeds a fresh ``numpy.random.default_rng`` (PCG64); identical
-        seeds reproduce the trajectory bit for bit.
+        Nonnegative; seeds a fresh ``numpy.random.default_rng`` (PCG64),
+        so identical seeds reproduce the trajectory bit for bit.
 
     Returns
     -------
@@ -356,12 +354,15 @@ def simulate(
 
     Raises
     ------
+    ValueError
+        If ``steps`` or ``seed`` is a bool, not an integer, or below 1
+        or 0 respectively.
     NumericsError
         If the model produces a non-finite state or measurement; the
         message and ``step`` attribute identify the failing step.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    _integer("steps", steps, 1)
+    _integer("seed", seed, 0)
     x = np.asarray(init_state, dtype=float).reshape(model.state_dim)
     rng = np.random.default_rng(seed)
     process_noise = rng.standard_normal((steps, model.process_noise_dim))

@@ -37,11 +37,11 @@ __all__ = [
 ]
 
 # The one default Monte Carlo draw count, for engines built in code, from
-# a config file, or by the heaviside experiment. 5000 draws is the
-# smallest count at which every built-in experiment seed tracks cleanly
-# under Monte Carlo: at 4000 one heaviside seed in a hundred still blows
-# up through the cubic fit, and by 3000 the posterior spread detaches
-# from the actual error on the noise model.
+# a config file, or by the heaviside experiment; the noise experiment
+# integrates with a Gauss-Hermite rule instead. At 4000 draws one
+# heaviside seed in a hundred blew up through the cubic fit; 5000 draws
+# are no guarantee either, as heaviside seed 1801025's cubic lane
+# diverges at step 850.
 DEFAULT_SAMPLE_COUNT = 5000
 
 
@@ -262,8 +262,7 @@ def expected_likelihood_weight(dim: int, engine: ExpectationEngine) -> float:
     estimator stays unbiased but its relative error grows, which is the
     usual particle-weight degeneracy in miniature.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    _integer("dim", dim, 1)
     belief = GaussianBelief(np.zeros(dim), np.eye(dim))
     norm = (2.0 * np.pi) ** (-dim / 2.0)
 

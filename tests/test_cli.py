@@ -420,7 +420,7 @@ def test_density_checks_the_order_before_the_grid_work(
     argv = ["density", "--config", str(cfg), *flag, "--grid-n", "21"]
     assert cli_main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert not calls
-    assert "order must be a positive integer, got 0" in capsys.readouterr().err
+    assert "order must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

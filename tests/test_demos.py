@@ -1,14 +1,30 @@
-"""Each script in demos/ runs to completion against the package in src/."""
+"""The demos and README examples run, and every exported name exists.
 
+Each script in demos/ runs to completion against the package in src/,
+README's python blocks run in order in one namespace, and every name in
+an ``__all__`` of the package or one of its modules is defined.
+"""
+
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fgfilter
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+MODULES = [fgfilter] + [
+    importlib.import_module(f"fgfilter.{info.name}")
+    for info in pkgutil.iter_modules(fgfilter.__path__)
+]
 
 
 def test_demos_are_found():
@@ -31,3 +47,16 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_python_blocks_run_in_order():
+    assert README_BLOCKS, "no python blocks found in README.md"
+    namespace = {"__name__": "readme"}
+    for block in README_BLOCKS:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_every_exported_name_exists(module):
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names undefined {missing}"

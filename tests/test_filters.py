@@ -40,7 +40,6 @@ from fgfilter import (
     run_filter_lanes,
     sigma_point,
     simulate,
-    standardize_feature,
 )
 from helpers import (
     kalman_filter,
@@ -146,15 +145,6 @@ def test_feature_map_must_be_callable():
 def test_monomial_map_checks_the_measurement_dimension():
     with pytest.raises(ValueError, match="expects measurement dimension 1, got 2"):
         make_monomial_feature(1, 2).map(np.zeros((3, 2)))
-
-
-def test_standardize_feature_rescales_inputs():
-    base = make_monomial_feature(1, 2)
-    feat = standardize_feature(base, shift=3.0, scale=2.0)
-    assert feat.name == "monomial2_standardized"
-    assert_allclose(feat.map(np.array([[5.0]])), base.map(np.array([[1.0]])))
-    with pytest.raises(ValueError):
-        standardize_feature(base, shift=0.0, scale=0.0)
 
 
 def test_joint_moments_validation():
