@@ -6,7 +6,7 @@ Three subcommands:
         Run the tracking experiment; writes report_<model>_<order>.csv
         per requested order plus summary.csv.
 
-    fgfilter density --model noise_magnitude --y-range -20,20
+    fgfilter density --model noise_magnitude --y-range=-20,20
         Tabulate the exact joint density on a grid alongside the GF and
         FGF conditional-mean curves; writes density_<model>.csv.
 

@@ -29,13 +29,12 @@ replaces that default engine, and engine.kind then defaults to
 monte_carlo. Unknown keys, model.* keys the selected model does not
 take and engine.* keys the selected engine kind ignores are rejected,
 so typos fail loudly; the CLI also rejects a key its subcommand does
-not read. Every model.* value must be finite.
+not read. Every model.* value must be a finite number.
 """
 
 from __future__ import annotations
 
 import inspect
-from functools import partial
 
 from .experiments import EXPERIMENTS, _experiment
 from .models import GaussianBelief, StateSpaceModel, _model_param
@@ -147,8 +146,9 @@ def _group_kwargs(cfg: dict[str, str], group: str, params: dict, what: str) -> d
 
 
 def _model_kwargs(cfg: dict[str, str], name: str) -> dict[str, float]:
-    # Factory keyword arguments from the model.* keys that are set.
-    params = {p: (p, partial(_model_param, p)) for p in _MODEL_PARAMS[name]}
+    # Factory keyword arguments from the model.* keys that are set, each
+    # parsed as a float and screened as its factory screens it.
+    params = {p: (p, lambda raw, p=p: _model_param(p, float(raw))) for p in _MODEL_PARAMS[name]}
     return _group_kwargs(cfg, "model", params, f"model {name!r}")
 
 

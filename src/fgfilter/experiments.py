@@ -250,6 +250,7 @@ def run_noise_experiment(
     Model keyword arguments (``prior_mean``, ``prior_var``,
     ``noise_scale``) go to :func:`make_noise_magnitude_model`.
     """
+    _integer("seed", seed, 0)
     return run_experiment_batch(
         "noise_magnitude", 1, seed, steps, engine, orders, standardize, **model_kwargs
     )[0]
@@ -272,6 +273,7 @@ def run_heaviside_experiment(
     ill-conditioned. Model keyword arguments (``prior_mean``,
     ``prior_var``, ``step_height``) go to :func:`make_heaviside_model`.
     """
+    _integer("seed", seed, 0)
     return run_experiment_batch(
         "heaviside", 1, seed, steps, engine, orders, standardize, **model_kwargs
     )[0]
@@ -322,6 +324,7 @@ def write_report_csv(reports: Sequence[ExperimentReport], order: int, path) -> N
     the repr of a float holds no delimiter, quote or newline, so no field
     is ever quoted, and each column is formatted once and the rows joined.
     """
+    _integer("order", order, 1)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for report in reports:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._linalg import NumericsError, gaussian_pdf, symmetrize
 from .filters import FeatureFunction, FgfPosteriorParams, JointMoments, _evaluate_feature
-from .models import GaussianBelief, StateSpaceModel, _integer, _owned
+from .models import GaussianBelief, StateSpaceModel, _integer, _owned, _real
 
 __all__ = [
     "Grid1D",
@@ -62,16 +62,18 @@ class GridCoverageWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered grid over [lo, hi] with n cells."""
+    """Uniform cell-centered grid over [lo, hi] with n cells; compares by (lo, hi, n)."""
 
     lo: float
     hi: float
     n: int
-    values: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.lo >= self.hi:
-            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "lo", _real("lo", self.lo))
+        object.__setattr__(self, "hi", _real("hi", self.hi))
+        if self.lo >= self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         _integer("n", self.n, 2)
         values = self.lo + (np.arange(self.n) + 0.5) * self.spacing
         values.setflags(write=False)
@@ -202,6 +204,7 @@ def default_grids(
 
 def _state_grid(belief: GaussianBelief, n: int, span: float) -> Grid1D:
     # The x grid of default_grids, straight from a scalar belief.
+    span = _real("span", span)
     mu = float(belief.mean[0])
     sd = float(np.sqrt(belief.cov[0, 0]))
     if sd <= 0.0:
@@ -285,7 +288,7 @@ def conditional_slice(density: GridDensity2D, y: float) -> np.ndarray:
     Returns a density over ``density.x_grid`` (sums to 1 after
     multiplying by the x spacing).
     """
-    y = float(y)
+    y = _real("y", y)
     if y < density.y_grid.lo or y > density.y_grid.hi:
         raise ValueError(
             f"y={y} lies outside the grid [{density.y_grid.lo}, {density.y_grid.hi}]"
@@ -382,11 +385,10 @@ def gaussian_moment_oracle(mean: float, var: float, k: int) -> float:
     _integer("k", k, 0)
     if k > 8:
         raise ValueError(f"moment order {k} exceeds the supported maximum 8")
-    if not (np.isfinite(mean) and np.isfinite(var)) or var < 0.0:
-        raise ValueError(f"need finite mean and nonnegative var, got {mean}, {var}")
-    prev, cur = 1.0, float(mean)
+    mean, var = _real("mean", mean), _real("var", var, 0)
+    prev, cur = 1.0, mean
     if k == 0:
         return prev
     for j in range(2, k + 1):
-        prev, cur = cur, float(mean) * cur + (j - 1) * float(var) * prev
+        prev, cur = cur, mean * cur + (j - 1) * var * prev
     return cur

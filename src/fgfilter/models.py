@@ -205,15 +205,8 @@ def _owned(cls, **fields):
 
 
 def _model_param(name: str, value) -> float:
-    # One scalar parameter of a built-in model factory as a float: finite,
-    # and for the prior variance also nonnegative. A bad value is a
-    # configuration error, so it raises ValueError; config parses the
-    # model.* keys through here to name the key.
-    value = float(value)
-    if not math.isfinite(value) or (name == "prior_var" and value < 0.0):
-        need = "finite and nonnegative" if name == "prior_var" else "finite"
-        raise ValueError(f"{name} must be {need}, got {value!r}")
-    return value
+    # A built-in model factory's parameter; config screens model.* keys here.
+    return _real(name, value, 0 if name == "prior_var" else -math.inf)
 
 
 def _integer(name: str, value, least: int) -> None:
@@ -225,9 +218,22 @@ def _integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _real(name: str, value, least: float = -math.inf) -> float:
+    # Screen of a real argument from outside the package: an int, a float
+    # or a numpy real, not a bool, finite and at least ``least``; as a float.
+    try:
+        real = isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        real = False
+    if not real or isinstance(value, bool):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return float(value)
+
+
 def _scalar_prior(prior_mean, prior_var) -> GaussianBelief:
-    mean = _model_param("prior_mean", prior_mean)
-    var = _model_param("prior_var", prior_var)
+    mean, var = _model_param("prior_mean", prior_mean), _model_param("prior_var", prior_var)
     return GaussianBelief(np.array([mean]), np.array([[var]]))
 
 
@@ -248,8 +254,8 @@ def make_noise_magnitude_model(
     sign. A filter that correlates the state with y alone sees nothing;
     correlating with y^2 does. The process is declared affine.
 
-    Raises ValueError for a non-finite parameter or a negative prior
-    variance.
+    Raises ValueError for a parameter that is not a finite real number
+    (a bool or a string is not one) or a negative prior variance.
     """
     prior = _scalar_prior(prior_mean, prior_var)
     noise_scale = _model_param("noise_scale", noise_scale)
@@ -296,8 +302,8 @@ def make_heaviside_model(
     single measurement can pin the state's sign. The process is declared
     affine.
 
-    Raises ValueError for a non-finite parameter or a negative prior
-    variance.
+    Raises ValueError for a parameter that is not a finite real number
+    (a bool or a string is not one) or a negative prior variance.
     """
     prior = _scalar_prior(prior_mean, prior_var)
     step_height = _model_param("step_height", step_height)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import NumericsError, _psd_roots
-from .models import GaussianBelief, _integer
+from .models import GaussianBelief, _integer, _real
 
 __all__ = [
     "ExpectationEngine",
@@ -58,8 +58,8 @@ class ExpectationEngine:
     kappa : float
         Sigma-point spread. The point set covers the augmented
         dimension d = state_dim + noise_dim with 2d + 1 points scaled
-        by sqrt(d + kappa); kappa must exceed -d. Ignored by the
-        other kinds.
+        by sqrt(d + kappa); kappa must be a finite real number, and
+        exceed -d when the points are built. Ignored by the other kinds.
     seed : int
         Seed of the Monte Carlo draw stream, nonnegative; ignored by the
         other kinds.
@@ -84,8 +84,7 @@ class ExpectationEngine:
         _integer("sample_count", self.sample_count, 2 if self.kind == "monte_carlo" else -np.inf)
         _integer("nodes", self.nodes, 2 if self.kind == "gauss_hermite" else -np.inf)
         _integer("seed", self.seed, 0)
-        if not np.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
+        object.__setattr__(self, "kappa", _real("kappa", self.kappa))
 
 
 def monte_carlo(

@@ -129,6 +129,14 @@ def test_grid1d_cell_centers():
         Grid1D(0.0, 1.0, 1)
 
 
+def test_grids_compare_and_hash_by_lo_hi_n():
+    grid = Grid1D(0, 1, 3)
+    same = Grid1D(np.float32(0.0), 1.0, np.int64(3))
+    assert grid == same and hash(grid) == hash(same)
+    assert (grid.lo, grid.hi) == (0.0, 1.0) and type(grid.lo) is float
+    assert grid != Grid1D(0.0, 1.0, 4) and grid != Grid1D(0.0, 2.0, 3)
+
+
 def test_grid_density_validation():
     x = Grid1D(0.0, 1.0, 3)
     y = Grid1D(0.0, 1.0, 2)
