@@ -32,7 +32,6 @@ from .config import (
     engine_from_config,
     load_config,
     model_from_config,
-    parse_bool,
     parse_orders,
 )
 from .experiments import (
@@ -117,14 +116,14 @@ def _parse_range(raw: str, label: str) -> tuple[float, float]:
 def _resolve(args):
     # The config, model and prior of a run. A subcommand reads the keys of
     # its own flags and every model.* key, and simulate also the engine.*
-    # keys and feature.standardize; any other key that is set exits 1
-    # rather than being silently ignored. Each flag left unset is then
-    # filled from its key, else from its default.
+    # keys; any other key that is set exits 1 rather than being silently
+    # ignored. Each flag left unset is then filled from its key, else from
+    # its default.
     cfg = load_config(args.config) if args.config else {}
     flags = [dest for dest in _SETTINGS if dest in vars(args)]
     reads = {_SETTINGS[dest][0] for dest in flags}
     if args.command == "simulate":
-        reads |= {key for key in cfg if key.startswith("engine.")} | {"feature.standardize"}
+        reads |= {key for key in cfg if key.startswith("engine.")}
     for key in cfg:
         if key not in reads and not key.startswith("model."):
             raise ValueError(
@@ -140,10 +139,7 @@ def _resolve(args):
 def _cmd_simulate(args) -> int:
     cfg, model, _ = _resolve(args)
     orders = (EXPERIMENTS[model.name].order,) if args.orders is None else args.orders
-    # Options left unset keep the experiment's defaults.
-    options = _model_kwargs(cfg, model.name)
-    if "feature.standardize" in cfg:
-        options["standardize"] = _get(cfg, "feature.standardize", parse_bool, None)
+    # Model keys left unset keep the experiment's defaults.
     reports = run_experiment_batch(
         model.name,
         n_seeds=args.seeds,
@@ -151,7 +147,7 @@ def _cmd_simulate(args) -> int:
         steps=args.steps,
         engine=engine_from_config(cfg),
         orders=orders,
-        **options,
+        **_model_kwargs(cfg, model.name),
     )
     args.out.mkdir(parents=True, exist_ok=True)
     for order in orders:

@@ -15,7 +15,6 @@ and grouped by prefix. Recognized keys:
     engine.kappa        float (sigma_point only)
     engine.nodes        int, at least 2 (gauss_hermite only; default 3)
     feature.order       int (monomial order)
-    feature.standardize true | false
     run.steps           int
     run.seed            int
     run.seeds           int (number of consecutive seeds)
@@ -24,12 +23,12 @@ and grouped by prefix. Recognized keys:
 
 A built-in model is defined in one place, ``experiments.EXPERIMENTS``:
 its model.* keys are its factory's parameters, and its default feature
-order, standardization and engine come from there too. Any engine.* key
-replaces that default engine, and engine.kind then defaults to
-monte_carlo. Unknown keys, model.* keys the selected model does not
-take and engine.* keys the selected engine kind ignores are rejected,
-so typos fail loudly; the CLI also rejects a key its subcommand does
-not read. Every model.* value must be a finite number.
+order and engine come from there too. Any engine.* key replaces that
+default engine, and engine.kind then defaults to monte_carlo. Unknown
+keys, model.* keys the selected model does not take and engine.* keys
+the selected engine kind ignores are rejected, so typos fail loudly;
+the CLI also rejects a key its subcommand does not read. A model.* or
+engine.* value its factory or engine refuses fails naming its key.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "KNOWN_KEYS",
     "load_config",
     "parse_config_text",
-    "parse_bool",
     "parse_orders",
     "model_from_config",
     "engine_from_config",
@@ -64,7 +62,7 @@ _ENGINE_PARAMS = {
 }
 
 KNOWN_KEYS = frozenset(
-    {"model.name", "engine.kind", "feature.order", "feature.standardize"}
+    {"model.name", "engine.kind", "feature.order"}
     | {"run.steps", "run.seed", "run.seeds", "run.orders", "run.out"}
     | {f"model.{param}" for params in _MODEL_PARAMS.values() for param in params}
     | {f"engine.{suffix}" for params in _ENGINE_PARAMS.values() for suffix in params}
@@ -103,16 +101,7 @@ def _get(cfg: dict[str, str], key: str, cast, default):
     try:
         return cast(raw)
     except (TypeError, ValueError) as err:
-        raise ValueError(f"config key {key!r} has invalid value {raw!r}") from err
-
-
-def parse_bool(raw: str) -> bool:
-    lowered = str(raw).lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+        raise ValueError(f"config key {key!r} has invalid value {raw!r}: {err}") from err
 
 
 def parse_orders(raw: str) -> tuple[int, ...]:
@@ -170,6 +159,12 @@ def engine_from_config(cfg: dict[str, str]) -> ExpectationEngine | None:
     kind = cfg.get("engine.kind", "monte_carlo")
     if kind not in _ENGINE_PARAMS:
         raise ValueError(f"config key 'engine.kind' has invalid value {kind!r}")
-    kwargs = _group_kwargs(cfg, "engine", _ENGINE_PARAMS[kind], f"engine kind {kind!r}")
+    # Each value is parsed by its type and screened by an engine built
+    # with it alone, so a bad value names its key.
+    def parse(keyword, cast):
+        return lambda raw: getattr(ExpectationEngine(kind, **{keyword: cast(raw)}), keyword)
+
+    params = {s: (kw, parse(kw, cast)) for s, (kw, cast) in _ENGINE_PARAMS[kind].items()}
+    kwargs = _group_kwargs(cfg, "engine", params, f"engine kind {kind!r}")
     return ExpectationEngine(kind, **kwargs)
 

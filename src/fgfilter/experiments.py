@@ -121,16 +121,16 @@ def _run_tracking(
     seeds: Sequence[int],
     engine: ExpectationEngine | None,
     orders: Sequence[int],
-    standardize: bool,
 ) -> list[ExperimentReport]:
     # One report per seed, the seeds filtered in blocks of one pass each.
     for order in orders:
         _integer("order", order, 1)
     orders_run = tuple(sorted(set(orders) | {1}))
-    # Without an engine, each seed takes its experiment's default engine.
-    default = _experiment(model.name).engine
-    engines = [default(seed, orders_run) if engine is None else engine for seed in seeds]
-    features = [make_monomial_feature(model.meas_dim, order) for order in orders_run]
+    # Without an engine, each seed takes its experiment's default engine;
+    # the features standardize their inputs as the experiment says.
+    entry = _experiment(model.name)
+    engines = [entry.engine(seed, orders_run) if engine is None else engine for seed in seeds]
+    features = [make_monomial_feature(model.meas_dim, o, entry.standardize) for o in orders_run]
     points = _unit_points(engines[0], model.state_dim, model.obs_noise_dim).weights.size
     blocks = -(-len(seeds) * len(features) * points // _BLOCK_POINTS)
     size = -(-len(seeds) // blocks)
@@ -138,12 +138,12 @@ def _run_tracking(
     for lo in range(0, len(seeds), size):
         block = slice(lo, lo + size)
         reports += _run_block(
-            model, prior, steps, seeds[block], engines[block], features, orders_run, standardize
+            model, prior, steps, seeds[block], engines[block], features, orders_run
         )
     return reports
 
 
-def _run_block(model, prior, steps, seeds, engines, features, orders_run, standardize):
+def _run_block(model, prior, steps, seeds, engines, features, orders_run):
     start = time.perf_counter()
     root = _psd_roots(prior.cov[None])[0][0]
     truths, measurements = [], []
@@ -153,7 +153,7 @@ def _run_block(model, prior, steps, seeds, engines, features, orders_run, standa
         states, meas = simulate(model, init, steps, seed)
         truths.append(states[:, 0])
         measurements.append(meas)
-    block = _filter_pass(model, prior, features, engines, np.stack(measurements), standardize)
+    block = _filter_pass(model, prior, features, engines, np.stack(measurements))
     runtime = (time.perf_counter() - start) / len(seeds)
     reports = []
     for seed, engine, truth, meas, lanes in zip(seeds, engines, truths, measurements, block):
@@ -192,9 +192,9 @@ def _run_block(model, prior, steps, seeds, engines, features, orders_run, standa
 
 
 class Experiment(NamedTuple):
-    """A built-in: its model factory, default feature order and standardize.
-
-    ``engine`` gives a seed's default engine from the seed and the orders run.
+    """A built-in: its model factory, default feature order, whether its
+    features standardize (see ``FeatureFunction``) and ``engine``, a
+    seed's default engine given the seed and the orders run.
     """
 
     factory: Callable[..., tuple[StateSpaceModel, GaussianBelief]]
@@ -217,12 +217,12 @@ def _seeded_monte_carlo(seed: int, orders: tuple[int, ...]) -> ExpectationEngine
 
 # The one place a built-in experiment is defined. The heaviside step is
 # not polynomial, and under Gauss-Hermite rules criterion 6's far check
-# fails, so it keeps per-seed Monte Carlo.
+# fails, so it keeps per-seed Monte Carlo. Its features standardize:
+# across a step of 50, raw Grams of order 5 and up run away. The noise
+# model's fit is as good raw, and rescaling would slow its batch by a third.
 EXPERIMENTS: Mapping[str, Experiment] = MappingProxyType(
     {
-        "noise_magnitude": Experiment(
-            make_noise_magnitude_model, 2, False, _exact_gauss_hermite
-        ),
+        "noise_magnitude": Experiment(make_noise_magnitude_model, 2, False, _exact_gauss_hermite),
         "heaviside": Experiment(make_heaviside_model, 3, True, _seeded_monte_carlo),
     }
 )
@@ -239,7 +239,6 @@ def run_noise_experiment(
     seed: int = 0,
     engine: ExpectationEngine | None = None,
     orders: Sequence[int] | None = None,
-    standardize: bool | None = None,
     **model_kwargs: float,
 ) -> ExperimentReport:
     """Track the drifting noise magnitude.
@@ -252,7 +251,7 @@ def run_noise_experiment(
     """
     _integer("seed", seed, 0)
     return run_experiment_batch(
-        "noise_magnitude", 1, seed, steps, engine, orders, standardize, **model_kwargs
+        "noise_magnitude", 1, seed, steps, engine, orders, **model_kwargs
     )[0]
 
 
@@ -261,22 +260,19 @@ def run_heaviside_experiment(
     seed: int = 0,
     engine: ExpectationEngine | None = None,
     orders: Sequence[int] | None = None,
-    standardize: bool | None = None,
     **model_kwargs: float,
 ) -> ExperimentReport:
     """Track a random walk observed through a hard step.
 
     Near the discontinuity the cubic feature reacts to which side of
     the step the measurement fell on; far away both filters behave like
-    the linear optimum. Feature standardization is on by default: raw
+    the linear optimum. Its features standardize their inputs: raw
     cubic Grams of measurements around 50 are pathologically
     ill-conditioned. Model keyword arguments (``prior_mean``,
     ``prior_var``, ``step_height``) go to :func:`make_heaviside_model`.
     """
     _integer("seed", seed, 0)
-    return run_experiment_batch(
-        "heaviside", 1, seed, steps, engine, orders, standardize, **model_kwargs
-    )[0]
+    return run_experiment_batch("heaviside", 1, seed, steps, engine, orders, **model_kwargs)[0]
 
 
 def run_experiment_batch(
@@ -286,13 +282,12 @@ def run_experiment_batch(
     steps: int = 1000,
     engine: ExpectationEngine | None = None,
     orders: Sequence[int] | None = None,
-    standardize: bool | None = None,
     **model_kwargs: float,
 ) -> list[ExperimentReport]:
     """Run one experiment over consecutive seeds base_seed..base_seed+n-1.
 
-    ``engine``, ``orders`` and ``standardize`` left as None take the
-    experiment's defaults in :data:`EXPERIMENTS`; model keyword arguments
+    ``engine`` and ``orders`` left as None take the experiment's
+    defaults in :data:`EXPERIMENTS`; model keyword arguments
     go to its factory. The seeds are filtered in blocks, each block as
     lanes of one pass (seeds x orders); a seed's report does not depend
     on its block. Reports come back ordered by seed; a numerical failure
@@ -307,9 +302,8 @@ def run_experiment_batch(
     _integer("steps", steps, 1)
     model, prior = entry.factory(**model_kwargs)
     orders = (entry.order,) if orders is None else orders
-    standardize = entry.standardize if standardize is None else standardize
     seeds = range(base_seed, base_seed + n_seeds)
-    return _run_tracking(model, prior, steps, seeds, engine, orders, standardize)
+    return _run_tracking(model, prior, steps, seeds, engine, orders)
 
 
 def _fmt(value) -> str:

@@ -79,11 +79,18 @@ class FeatureFunction:
     must put the constant 1 in the first output entry. The stage
     functions check that on every evaluation, the filter pass on its
     first step. ``out_dim`` includes the constant, so it is at least 2.
+
+    ``standardize`` has the filter pass rescale the map's inputs per step
+    by the predicted measurement mean and spread. For a map spanning the
+    polynomials up to its degree, as the monomial maps do, that changes
+    only the conditioning; for any other map it changes the fit. A map
+    with out_dim = meas_dim + 1 is never rescaled.
     """
 
     name: str
     out_dim: int
     map: Callable[[np.ndarray], np.ndarray]
+    standardize: bool = False
 
     def __post_init__(self):
         if not self.name:
@@ -91,6 +98,8 @@ class FeatureFunction:
         _integer("out_dim", self.out_dim, 2)
         if not callable(self.map):
             raise ValueError("map must be callable")
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
 
 
 def make_affine_feature(meas_dim: int) -> FeatureFunction:
@@ -98,13 +107,14 @@ def make_affine_feature(meas_dim: int) -> FeatureFunction:
     return make_monomial_feature(meas_dim, 1)
 
 
-def make_monomial_feature(meas_dim: int, order: int) -> FeatureFunction:
+def make_monomial_feature(meas_dim: int, order: int, standardize: bool = False) -> FeatureFunction:
     """Componentwise monomials up to ``order``: (1, y, y^2, ..., y^order).
 
     Output layout is the constant, then all components of y, then all
     components of y^2, and so on; out_dim = 1 + meas_dim * order. The
     values are built component-major, one contiguous block per output,
     and returned as the transposed view of shape (..., out_dim).
+    ``standardize`` is the feature's; see :class:`FeatureFunction`.
     """
     _integer("meas_dim", meas_dim, 1)
     _integer("order", order, 1)
@@ -128,7 +138,7 @@ def make_monomial_feature(meas_dim: int, order: int) -> FeatureFunction:
         return out.T
 
     name = "affine" if order == 1 else f"monomial{order}"
-    return FeatureFunction(name=name, out_dim=out_dim, map=mapper)
+    return FeatureFunction(name=name, out_dim=out_dim, map=mapper, standardize=standardize)
 
 
 @dataclass(frozen=True)
@@ -324,8 +334,8 @@ def _gain(raw, dx):
             raise NumericsError("joint moments contain non-finite values") from err
         raise NumericsError(
             "feature Gram matrix is rank deficient beyond the jitter "
-            "budget; reduce the feature order or standardize the "
-            f"feature inputs ({err})"
+            "budget; reduce the feature order or set the feature's "
+            f"standardize ({err})"
         ) from err
 
 
@@ -513,18 +523,17 @@ def run_filter_lanes(
     features: Sequence[FeatureFunction],
     engine: ExpectationEngine,
     measurements: Sequence | np.ndarray,
-    standardize: bool = False,
 ) -> FilterLanes:
     """Filter one measurement sequence once per feature, in one fused pass.
 
     Every lane starts from ``prior`` and runs the predict/update
     recursion of :func:`run_filter` with its own feature. Per step, the
     lanes share one ``model.process`` and one ``model.observe``
-    evaluation over their stacked point sets, and the standardization
-    shift and scale come from the same observed points. A model that
-    declares an affine process is predicted in closed form, with no
-    ``model.process`` call at all. A lane that breaks down numerically
-    records its error and stops; the other lanes go on unchanged.
+    evaluation over their stacked point sets, and each standardized
+    feature's shift and scale come from the same observed points. A
+    model that declares an affine process is predicted in closed form,
+    with no ``model.process`` call at all. A lane that breaks down
+    numerically records its error and stops; the others go on unchanged.
 
     Parameters are those of :func:`run_filter`, with ``features`` a
     sequence of feature maps, one per lane.
@@ -548,13 +557,13 @@ def run_filter_lanes(
         )
     if not _finite(ys):
         raise ValueError("measurements must be finite")
-    return _filter_pass(model, prior, features, [engine], ys[None], standardize)[0]
+    return _filter_pass(model, prior, features, [engine], ys[None])[0]
 
 
 # Non-finite values are screened once per step and reported as
 # NumericsError, so numpy's warnings on the way there are noise.
 @np.errstate(invalid="ignore", over="ignore")
-def _filter_pass(model, prior, features, engines, ys, standardize):
+def _filter_pass(model, prior, features, engines, ys):
     # Filter the measurement sequences ys (seeds, steps, meas_dim), seed s
     # under engines[s], with one lane per (seed, feature), and return one
     # FilterLanes per seed. For the whole pass, seed s owns lanes
@@ -575,7 +584,7 @@ def _filter_pass(model, prior, features, engines, ys, standardize):
     covs = np.full((n_lanes, steps, dx, dx), np.nan)
     errors: list[NumericsError | None] = [None] * n_lanes
     dead = [False] * n_lanes
-    rescale = [standardize and f.out_dim > dy + 1 for f in features]
+    rescale = [f.standardize and f.out_dim > dy + 1 for f in features]
     # The input spread is taken from the first standardized lane of a seed
     # on: the lanes before it never read it.
     scaled = rescale.index(True) if any(rescale) else n_feat
@@ -718,7 +727,6 @@ def run_filter(
     feature: FeatureFunction,
     engine: ExpectationEngine,
     measurements: Sequence | np.ndarray,
-    standardize: bool = False,
 ) -> list[GaussianBelief]:
     """Run predict/update over a measurement sequence.
 
@@ -727,11 +735,6 @@ def run_filter(
     measurements : array_like, shape (steps, meas_dim) or (steps,)
         The 1-D form is accepted for scalar-measurement models. An
         empty sequence yields an empty posterior list.
-    standardize : bool
-        Rescale feature inputs per step by the predicted measurement
-        mean and spread. Posterior-neutral for monomial features but
-        much better conditioned at high orders; affine features are
-        exactly invariant to it, so it is skipped for them.
 
     Returns
     -------
@@ -744,7 +747,7 @@ def run_filter(
         On numerical breakdown; the message and ``step`` attribute
         report the zero-based step that failed.
     """
-    lanes = run_filter_lanes(model, prior, [feature], engine, measurements, standardize)
+    lanes = run_filter_lanes(model, prior, [feature], engine, measurements)
     if lanes.errors[0] is not None:
         raise lanes.errors[0]
     return [_owned(GaussianBelief, mean=m, cov=c) for m, c in zip(lanes.means[0], lanes.covs[0])]

@@ -84,7 +84,7 @@ class Grid1D:
         return (self.hi - self.lo) / self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity2D:
     """Joint density over an (x, y) grid, normalized to unit mass.
 
@@ -188,6 +188,7 @@ def default_grids(
     nonnegative integer (not a bool).
     """
     _integer("seed", seed, 0)
+    span = _real("span", span)
     _require_scalar(model)
     x_grid = _state_grid(belief, n, span)
     rng = np.random.default_rng(seed)

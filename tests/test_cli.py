@@ -261,11 +261,13 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
-    # feature.kind was once accepted but never used, so it is unknown now
-    for line in ("run.bogus = 1", "feature.kind = affine"):
-        cfg = _write_config(tmp_path, f"model.name = heaviside\n{line}\n")
-        assert cli_main(["simulate", "--config", str(cfg)]) == 1
-        assert "unknown config key" in capsys.readouterr().err
+    # feature.kind was once accepted but never used, so it is unknown now;
+    # feature.standardize is the feature's own, set by the experiment table.
+    for command in ("simulate", "density", "kl"):
+        for line in ("run.bogus = 1", "feature.kind = affine", "feature.standardize = yes"):
+            cfg = _write_config(tmp_path, f"model.name = heaviside\n{line}\n")
+            assert cli_main([command, "--config", str(cfg)]) == 1
+            assert "unknown config key" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
@@ -291,7 +293,6 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         ("simulate", "run.seed = abc"),
         ("simulate", "run.orders = 1,abc"),
         ("simulate", "run.orders = 2,2"),
-        ("simulate", "feature.standardize = maybe"),
         ("density", "feature.order = abc"),
         # engine keys that the selected kind ignores
         ("simulate", "engine.samples = 500\nengine.kind = sigma_point"),
@@ -300,6 +301,11 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         ("simulate", "engine.nodes = 4\nengine.kind = monte_carlo"),
         ("simulate", "engine.samples = 500\nengine.kind = gauss_hermite"),
         ("simulate", "engine.kappa = 1\nengine.kind = gauss_hermite"),
+        # engine values that parse but that the engine refuses
+        ("simulate", "engine.kappa = nan\nengine.kind = sigma_point"),
+        ("simulate", "engine.samples = 1"),
+        ("simulate", "engine.nodes = 1\nengine.kind = gauss_hermite"),
+        ("simulate", "engine.seed = -3"),
         # model values that parse but that no model can take
         ("simulate", "model.prior_var = -1"),
         ("simulate", "model.prior_var = nan"),
@@ -326,7 +332,6 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):
                 "engine.kind = sigma_point",
                 "engine.samples = 300",
                 "engine.seed = 3",
-                "feature.standardize = yes",
                 "run.steps = 10",
                 "run.seeds = 3",
             )
@@ -368,14 +373,11 @@ def test_simulate_passes_only_the_options_that_are_set(tmp_path, monkeypatch, ca
     monkeypatch.setattr("fgfilter.cli.run_experiment_batch", fake_batch)
     bare = _write_config(tmp_path, "model.name = heaviside\n")
     assert cli_main(["simulate", "--config", str(bare)]) == 1
-    set_ = _write_config(
-        tmp_path,
-        "model.name = heaviside\nmodel.prior_var = 2\nfeature.standardize = no\n",
-    )
+    set_ = _write_config(tmp_path, "model.name = heaviside\nmodel.prior_var = 2\n")
     assert cli_main(["simulate", "--config", str(set_)]) == 1
     capsys.readouterr()
-    assert not {"prior_mean", "prior_var", "step_height", "standardize"} & set(seen[0])
-    assert seen[1]["prior_var"] == 2.0 and seen[1]["standardize"] is False
+    assert not {"prior_mean", "prior_var", "step_height"} & set(seen[0])
+    assert seen[1]["prior_var"] == 2.0
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))

@@ -7,7 +7,6 @@ from fgfilter.config import (
     engine_from_config,
     load_config,
     model_from_config,
-    parse_bool,
     parse_config_text,
     parse_orders,
 )
@@ -39,13 +38,6 @@ def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("model.name = noise_magnitude\nrun.seed = 7\n")
     assert load_config(path)["run.seed"] == "7"
-
-
-def test_parse_bool():
-    assert parse_bool("true") and parse_bool("1") and parse_bool("YES")
-    assert not parse_bool("false") and not parse_bool("0") and not parse_bool("No")
-    with pytest.raises(ValueError):
-        parse_bool("maybe")
 
 
 def test_parse_orders():

@@ -15,9 +15,11 @@ from numpy.testing import assert_allclose
 from fgfilter import (
     gauss_hermite,
     make_heaviside_model,
+    make_monomial_feature,
     monte_carlo,
     run_experiment_batch,
     run_heaviside_experiment,
+    run_filter_lanes,
     run_noise_experiment,
     sigma_point,
     write_report_csv,
@@ -90,10 +92,23 @@ def test_heaviside_experiment_defaults():
     assert all(np.isfinite(rep.rmse[o]) for o in rep.orders)
 
 
+def test_heaviside_features_standardize_as_the_table_says():
+    # The table's constant keeps high orders on track: seed 17's order-5
+    # lane runs through when standardized, and runs away at step 975 on
+    # the same measurements and draws when its inputs stay raw.
+    assert experiments.EXPERIMENTS["heaviside"].standardize
+    rep = run_heaviside_experiment(seed=17, orders=(5,))
+    assert rep.diverged_at == {1: None, 5: None}
+    model, prior = make_heaviside_model()
+    features = [make_monomial_feature(1, 1), make_monomial_feature(1, 5)]
+    raw = run_filter_lanes(model, prior, features, monte_carlo(seed=17), rep.measurements)
+    assert raw.diverged_at == (None, 975)
+
+
 def test_model_keywords_go_to_the_factory():
     rep = run_heaviside_experiment(steps=5, seed=0, step_height=7.0)
     model, prior = make_heaviside_model(step_height=7.0)
-    ref = _run_tracking(model, prior, 5, [0], None, (3,), True)[0]
+    ref = _run_tracking(model, prior, 5, [0], None, (3,))[0]
     assert np.array_equal(rep.measurements, ref.measurements)
     for order in rep.orders:
         assert np.array_equal(rep.means[order], ref.means[order])

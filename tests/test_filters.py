@@ -102,13 +102,16 @@ def test_row_major_user_feature_gives_the_same_posteriors():
         (make_noise_magnitude_model(), 2, False),
         (make_heaviside_model(), 3, True),
     ):
-        base = make_monomial_feature(1, order)
+        base = make_monomial_feature(1, order, standardize)
         rows = FeatureFunction(
-            "rows", base.out_dim, lambda y, base=base: np.ascontiguousarray(base.map(y))
+            "rows",
+            base.out_dim,
+            lambda y, base=base: np.ascontiguousarray(base.map(y)),
+            standardize,
         )
         meas = simulate(model, prior.mean, 40, seed=order)[1]
         engine = monte_carlo(sample_count=500, seed=order)
-        got = run_filter_lanes(model, prior, [base, rows], engine, meas, standardize)
+        got = run_filter_lanes(model, prior, [base, rows], engine, meas)
         assert got.diverged_at == (None, None)
         assert np.array_equal(got.means[0], got.means[1])
         assert np.array_equal(got.covs[0], got.covs[1])
@@ -458,10 +461,9 @@ def test_standardization_does_not_change_the_answer():
     # so the fitted posterior agrees up to conditioning-level roundoff.
     model, prior = make_noise_magnitude_model()
     engine = monte_carlo(sample_count=2_000, seed=8)
-    feat = make_monomial_feature(1, 2)
     _, meas = simulate(model, np.array([5.0]), 25, seed=8)
-    raw = run_filter(model, prior, feat, engine, meas, standardize=False)
-    std = run_filter(model, prior, feat, engine, meas, standardize=True)
+    raw = run_filter(model, prior, make_monomial_feature(1, 2), engine, meas)
+    std = run_filter(model, prior, make_monomial_feature(1, 2, True), engine, meas)
     for a, b in zip(raw, std):
         assert_allclose(a.mean, b.mean, rtol=1e-6, atol=1e-8)
         assert_allclose(a.cov, b.cov, rtol=1e-5, atol=1e-8)
@@ -533,12 +535,12 @@ def test_lanes_match_solo_runs(maker, orders, standardize):
     model, prior = maker()
     engine = monte_carlo(sample_count=800, seed=4)
     _, meas = simulate(model, prior.mean, 40, seed=4)
-    features = [make_monomial_feature(1, order) for order in orders]
-    lanes = run_filter_lanes(model, prior, features, engine, meas, standardize=standardize)
+    features = [make_monomial_feature(1, order, standardize) for order in orders]
+    lanes = run_filter_lanes(model, prior, features, engine, meas)
     assert lanes.means.shape == (2, 40, 1) and lanes.covs.shape == (2, 40, 1, 1)
     assert lanes.diverged_at == (None, None)
     for lane, feature in enumerate(features):
-        solo = run_filter(model, prior, feature, engine, meas, standardize=standardize)
+        solo = run_filter(model, prior, feature, engine, meas)
         assert_allclose(lanes.means[lane], [b.mean for b in solo], rtol=1e-12, atol=0)
         assert_allclose(lanes.covs[lane], [b.cov for b in solo], rtol=1e-12, atol=0)
 
@@ -593,9 +595,7 @@ def test_failing_lane_in_a_seed_block_is_contained():
         map=lambda y: np.where(y == meas[bad_seed, bad_step], np.nan, base.map(y)),
     )
     affine = make_affine_feature(1)
-    block = fgfilter.filters._filter_pass(
-        model, prior, (affine, poisoned), engines, meas, False
-    )
+    block = fgfilter.filters._filter_pass(model, prior, (affine, poisoned), engines, meas)
     assert [lanes.diverged_at for lanes in block] == [(None, None), (None, bad_step), (None, None)]
     err = block[bad_seed].errors[1]
     assert isinstance(err, NumericsError) and err.step == bad_step
@@ -615,12 +615,12 @@ def test_block_mixing_point_counts_equals_each_solo_run():
     # seeds with that count, so every seed matches its solo pass bit for
     # bit, standardized inputs included.
     model, prior = make_heaviside_model()
-    features = (make_affine_feature(1), make_monomial_feature(1, 2), make_monomial_feature(1, 3))
+    features = [make_monomial_feature(1, order, standardize=True) for order in (1, 2, 3)]
     engines = [monte_carlo(sample_count=(300, 700)[s % 2], seed=s) for s in range(4)]
     meas = np.stack([simulate(model, prior.mean, 30, seed=s)[1] for s in range(4)])
-    block = fgfilter.filters._filter_pass(model, prior, features, engines, meas, True)
+    block = fgfilter.filters._filter_pass(model, prior, features, engines, meas)
     for s, lanes in enumerate(block):
-        solo = run_filter_lanes(model, prior, features, engines[s], meas[s], standardize=True)
+        solo = run_filter_lanes(model, prior, features, engines[s], meas[s])
         assert lanes.diverged_at == solo.diverged_at == (None, None, None)
         assert np.array_equal(lanes.means, solo.means)
         assert np.array_equal(lanes.covs, solo.covs)
@@ -651,9 +651,7 @@ def test_failed_lane_is_parked_at_the_prior():
         map=lambda y: np.where(y == meas[bad_seed, bad_step], np.nan, base.map(y)),
     )
     affine = make_affine_feature(1)
-    block = fgfilter.filters._filter_pass(
-        guarded, prior, (affine, poisoned), engines, meas, False
-    )
+    block = fgfilter.filters._filter_pass(guarded, prior, (affine, poisoned), engines, meas)
     assert [lanes.diverged_at for lanes in block] == [(None, None), (None, bad_step), (None, None)]
     assert np.all(np.isnan(block[bad_seed].means[1, bad_step:]))
     assert np.all(np.isnan(block[bad_seed].covs[1, bad_step:]))
@@ -672,10 +670,8 @@ def test_non_finite_fit_is_reported_as_non_finite(dx):
     # covariance turns NaN at the first step.
     model = linear_ssm(random_linear_system(np.random.default_rng(dx), dx, 1))
     prior = GaussianBelief(np.full(dx, 1e160), np.eye(dx))
-    lanes = run_filter_lanes(
-        model, prior, [make_monomial_feature(1, 2)], sigma_point(), np.zeros((3, 1)),
-        standardize=True,
-    )
+    feature = make_monomial_feature(1, 2, standardize=True)
+    lanes = run_filter_lanes(model, prior, [feature], sigma_point(), np.zeros((3, 1)))
     assert lanes.diverged_at == (0,)
     message = str(lanes.errors[0])
     assert "non-finite" in message and "cannot be made PSD" in message
@@ -703,7 +699,7 @@ def _assert_block_matches_solo(model, prior, features, engines, meas, failing, m
     # Filter a block of seeds in one pass. The lanes named in failing,
     # {(seed, lane): step}, record that step and message and hold NaN
     # from it on; every lane equals its solo run bit for bit before it.
-    block = fgfilter.filters._filter_pass(model, prior, features, engines, meas, False)
+    block = fgfilter.filters._filter_pass(model, prior, features, engines, meas)
     for s, lanes in enumerate(block):
         for lane, feature in enumerate(features):
             n = failing.get((s, lane), meas.shape[1])
@@ -821,18 +817,18 @@ def test_lanes_share_one_model_pass_per_step(monkeypatch):
         observe=counting("observe", model.observe),
     )
     _, meas = simulate(model, prior.mean, 12, seed=6)
-    features = [make_monomial_feature(1, order) for order in (1, 2, 3)]
+    features = [make_monomial_feature(1, order, standardize=True) for order in (1, 2, 3)]
     engine = monte_carlo(sample_count=500, seed=6)
     for declared, expected in (
         (counted, {"process": 0, "observe": 12, "point_sets": 1}),
         (undeclared(counted), {"process": 12, "observe": 12, "point_sets": 2}),
     ):
         calls.update(process=0, observe=0, point_sets=0)
-        lanes = run_filter_lanes(declared, prior, features, engine, meas, standardize=True)
+        lanes = run_filter_lanes(declared, prior, features, engine, meas)
         assert lanes.diverged_at == (None, None, None)
         assert calls == expected
         calls.update(process=0, observe=0, point_sets=0)
-        run_filter(declared, prior, features[2], engine, meas, standardize=True)
+        run_filter(declared, prior, features[2], engine, meas)
         assert calls == expected
 
 

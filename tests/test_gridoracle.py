@@ -137,6 +137,23 @@ def test_grids_compare_and_hash_by_lo_hi_n():
     assert grid != Grid1D(0.0, 1.0, 4) and grid != Grid1D(0.0, 2.0, 3)
 
 
+def test_grid_densities_compare_and_hash_by_identity():
+    # The mass array is the content, so equal grids do not make equal
+    # densities; == is identity and returns a bool, and hash() works.
+    x, y = Grid1D(0.0, 1.0, 2), Grid1D(0.0, 1.0, 2)
+    d, twin = GridDensity2D(x, y, np.ones((2, 2))), GridDensity2D(x, y, np.ones((2, 2)))
+    assert (d == d) is True and (d == twin) is False and (d != twin) is True
+    assert {d, twin, d} == {d, twin} and len({d, twin}) == 2
+
+
+def test_default_grids_screen_span_once():
+    # A float32 span is a float before both grids use it, so the y grid
+    # does not take float32 bounds.
+    model, prior = make_noise_magnitude_model()
+    grids = default_grids(model, prior, n=5, span=6.0)
+    assert default_grids(model, prior, n=5, span=np.float32(6.0)) == grids
+
+
 def test_grid_density_validation():
     x = Grid1D(0.0, 1.0, 3)
     y = Grid1D(0.0, 1.0, 2)
