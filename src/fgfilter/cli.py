@@ -14,8 +14,12 @@ Three subcommands:
         Score feature orders by the grid KL objective; writes
         kl_<model>.csv.
 
+This module only dispatches: ``config`` decides which keys exist and how
+each one parses, and ``experiments.EXPERIMENTS`` what each built-in is.
+
 Exit codes: 0 on success, 1 on usage or configuration errors (a config
-key the subcommand does not read is one), 2 on numerical failure.
+key the subcommand does not read is one, a bad value names its key or
+flag), 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -23,17 +27,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 from ._linalg import NumericsError
-from .config import (
-    _get,
-    _model_kwargs,
-    engine_from_config,
-    load_config,
-    model_from_config,
-    parse_orders,
-)
+from .config import _SETTINGS, _get, _model_kwargs, engine_from_config, load_config
 from .experiments import (
     EXPERIMENTS,
     run_experiment_batch,
@@ -51,20 +47,6 @@ from .gridoracle import (
 )
 
 __all__ = ["cli_main", "main"]
-
-# The flags a config key can also set: dest -> (key, parser, default). A
-# flag on the command line wins over its key; a default of None leaves
-# the value to the subcommand.
-_SETTINGS = {
-    "model": ("model.name", str, None),
-    "seed": ("run.seed", int, 0),
-    "out": ("run.out", Path, Path(".")),
-    "steps": ("run.steps", int, 1000),
-    "seeds": ("run.seeds", int, 1),
-    "orders": ("run.orders", parse_orders, None),
-    "order": ("feature.order", int, None),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -114,11 +96,11 @@ def _parse_range(raw: str, label: str) -> tuple[float, float]:
 
 
 def _resolve(args):
-    # The config, model and prior of a run. A subcommand reads the keys of
-    # its own flags and every model.* key, and simulate also the engine.*
-    # keys; any other key that is set exits 1 rather than being silently
-    # ignored. Each flag left unset is then filled from its key, else from
-    # its default.
+    # The built-in, factory keywords and engine of a run, each resolved
+    # once. A subcommand reads the keys of its own flags and every model.*
+    # key, and simulate also the engine.* keys; any other key that is set
+    # exits 1 rather than being silently ignored. Each flag left unset is
+    # then filled from its key, else from its default.
     cfg = load_config(args.config) if args.config else {}
     flags = [dest for dest in _SETTINGS if dest in vars(args)]
     reads = {_SETTINGS[dest][0] for dest in flags}
@@ -133,25 +115,27 @@ def _resolve(args):
         key, parse, default = _SETTINGS[dest]
         value = getattr(args, dest)
         setattr(args, dest, _get(cfg, key, parse, default) if value is None else parse(value))
-    return (cfg, *model_from_config(cfg, args.model))
+    if args.model is None:
+        raise ValueError("no model selected: pass --model or set model.name")
+    return EXPERIMENTS[args.model], _model_kwargs(cfg, args.model), engine_from_config(cfg)
 
 
 def _cmd_simulate(args) -> int:
-    cfg, model, _ = _resolve(args)
-    orders = (EXPERIMENTS[model.name].order,) if args.orders is None else args.orders
+    entry, model_kwargs, engine = _resolve(args)
+    orders = (entry.order,) if args.orders is None else args.orders
     # Model keys left unset keep the experiment's defaults.
     reports = run_experiment_batch(
-        model.name,
+        args.model,
         n_seeds=args.seeds,
         base_seed=args.seed,
         steps=args.steps,
-        engine=engine_from_config(cfg),
+        engine=engine,
         orders=orders,
-        **_model_kwargs(cfg, model.name),
+        **model_kwargs,
     )
     args.out.mkdir(parents=True, exist_ok=True)
     for order in orders:
-        path = args.out / f"report_{model.name}_{order}.csv"
+        path = args.out / f"report_{args.model}_{order}.csv"
         write_report_csv(reports, order, path)
         print(f"wrote {path}")
     summary_path = args.out / "summary.csv"
@@ -186,8 +170,9 @@ def _grids_for(args, model, prior):
 
 
 def _cmd_density(args) -> int:
-    _, model, prior = _resolve(args)
-    order = EXPERIMENTS[model.name].order if args.order is None else args.order
+    entry, model_kwargs, _ = _resolve(args)
+    model, prior = entry.factory(**model_kwargs)
+    order = entry.order if args.order is None else args.order
     # Built before the grid work, so a bad order fails at once.
     feature = make_monomial_feature(model.meas_dim, order)
     x_grid, y_grid = _grids_for(args, model, prior)
@@ -233,7 +218,8 @@ def _write_density_csv(path, joint, gf_means, fgf_means) -> None:
 
 
 def _cmd_kl(args) -> int:
-    _, model, prior = _resolve(args)
+    entry, model_kwargs, _ = _resolve(args)
+    model, prior = entry.factory(**model_kwargs)
     orders = (1, 2, 3) if args.orders is None else args.orders
     x_grid, y_grid = _grids_for(args, model, prior)
     joint = joint_density_grid(model, prior, x_grid, y_grid)

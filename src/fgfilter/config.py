@@ -14,29 +14,33 @@ and grouped by prefix. Recognized keys:
     engine.seed         int (monte_carlo only)
     engine.kappa        float (sigma_point only)
     engine.nodes        int, at least 2 (gauss_hermite only; default 3)
-    feature.order       int (monomial order)
-    run.steps           int
-    run.seed            int
-    run.seeds           int (number of consecutive seeds)
+    feature.order       int, at least 1 (monomial order)
+    run.steps           int, at least 1
+    run.seed            int, at least 0
+    run.seeds           int, at least 1 (number of consecutive seeds)
     run.orders          comma-separated ints
     run.out             output directory
 
-A built-in model is defined in one place, ``experiments.EXPERIMENTS``:
-its model.* keys are its factory's parameters, and its default feature
-order and engine come from there too. Any engine.* key replaces that
-default engine, and engine.kind then defaults to monte_carlo. Unknown
-keys, model.* keys the selected model does not take and engine.* keys
-the selected engine kind ignores are rejected, so typos fail loudly;
-the CLI also rejects a key its subcommand does not read. A model.* or
-engine.* value its factory or engine refuses fails naming its key.
+This module decides which keys exist and how each one parses. The keys
+a CLI flag can also set are one table, ``_SETTINGS``: flag, key, parser
+and default. A built-in model is defined in one place,
+``experiments.EXPERIMENTS``: its model.* keys are its factory's
+parameters, and its default feature order and engine come from there
+too. Any engine.* key replaces that default engine, and engine.kind then
+defaults to monte_carlo. Unknown keys, model.* keys the selected model
+does not take and engine.* keys the selected engine kind ignores are
+rejected, so typos fail loudly; the CLI also rejects a key its
+subcommand does not read. A value that does not parse, or that its
+parser, factory or engine refuses, fails naming its key.
 """
 
 from __future__ import annotations
 
 import inspect
+from pathlib import Path
 
 from .experiments import EXPERIMENTS, _experiment
-from .models import GaussianBelief, StateSpaceModel, _model_param
+from .models import _integer, _model_param
 from .quadrature import ExpectationEngine
 
 __all__ = [
@@ -44,7 +48,6 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "parse_orders",
-    "model_from_config",
     "engine_from_config",
 ]
 
@@ -61,9 +64,37 @@ _ENGINE_PARAMS = {
     "gauss_hermite": {"nodes": ("nodes", int)},
 }
 
+
+def parse_orders(raw: str) -> tuple[int, ...]:
+    """Parse a comma-separated order list such as '1,2,3'."""
+    try:
+        orders = tuple(int(part.strip()) for part in str(raw).split(","))
+    except ValueError as err:
+        raise ValueError(f"orders must be comma-separated integers, got {raw!r}") from err
+    if not orders or any(o < 1 for o in orders):
+        raise ValueError(f"orders must be positive integers, got {raw!r}")
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"order {max(orders, key=orders.count)} is listed twice in {raw!r}")
+    return orders
+
+
+# The keys a flag can also set: flag dest -> (key, parser, default). A
+# flag on the command line wins over its key; a default of None leaves
+# the value to the subcommand. Each parser screens its value, so a bad
+# one fails naming its key; model.name is kept as the name it checked.
+_SETTINGS = {
+    "model": ("model.name", lambda raw: _experiment(raw) and raw, None),
+    "seed": ("run.seed", lambda raw: _integer("seed", int(raw), 0), 0),
+    "out": ("run.out", Path, Path(".")),
+    "steps": ("run.steps", lambda raw: _integer("steps", int(raw), 1), 1000),
+    "seeds": ("run.seeds", lambda raw: _integer("seeds", int(raw), 1), 1),
+    "orders": ("run.orders", parse_orders, None),
+    "order": ("feature.order", lambda raw: _integer("order", int(raw), 1), None),
+}
+
 KNOWN_KEYS = frozenset(
-    {"model.name", "engine.kind", "feature.order"}
-    | {"run.steps", "run.seed", "run.seeds", "run.orders", "run.out"}
+    {key for key, _, _ in _SETTINGS.values()}
+    | {"engine.kind"}
     | {f"model.{param}" for params in _MODEL_PARAMS.values() for param in params}
     | {f"engine.{suffix}" for params in _ENGINE_PARAMS.values() for suffix in params}
 )
@@ -104,19 +135,6 @@ def _get(cfg: dict[str, str], key: str, cast, default):
         raise ValueError(f"config key {key!r} has invalid value {raw!r}: {err}") from err
 
 
-def parse_orders(raw: str) -> tuple[int, ...]:
-    """Parse a comma-separated order list such as '1,2,3'."""
-    try:
-        orders = tuple(int(part.strip()) for part in str(raw).split(","))
-    except ValueError as err:
-        raise ValueError(f"orders must be comma-separated integers, got {raw!r}") from err
-    if not orders or any(o < 1 for o in orders):
-        raise ValueError(f"orders must be positive integers, got {raw!r}")
-    if len(set(orders)) < len(orders):
-        raise ValueError(f"order {max(orders, key=orders.count)} is listed twice in {raw!r}")
-    return orders
-
-
 def _group_kwargs(cfg: dict[str, str], group: str, params: dict, what: str) -> dict:
     # Keyword arguments from the group.* keys that are set, other than
     # the selector (model.name or engine.kind). ``params`` maps a key's
@@ -139,17 +157,6 @@ def _model_kwargs(cfg: dict[str, str], name: str) -> dict[str, float]:
     # parsed as a float and screened as its factory screens it.
     params = {p: (p, lambda raw, p=p: _model_param(p, float(raw))) for p in _MODEL_PARAMS[name]}
     return _group_kwargs(cfg, "model", params, f"model {name!r}")
-
-
-def model_from_config(
-    cfg: dict[str, str], name: str | None = None
-) -> tuple[StateSpaceModel, GaussianBelief]:
-    """Build the named built-in model with config knobs applied."""
-    name = name or cfg.get("model.name")
-    if name is None:
-        raise ValueError("no model selected: pass --model or set model.name")
-    factory = _experiment(name).factory
-    return factory(**_model_kwargs(cfg, name))
 
 
 def engine_from_config(cfg: dict[str, str]) -> ExpectationEngine | None:

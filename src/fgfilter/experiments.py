@@ -114,35 +114,6 @@ class ExperimentReport:
 _BLOCK_POINTS = 100_000
 
 
-def _run_tracking(
-    model: StateSpaceModel,
-    prior: GaussianBelief,
-    steps: int,
-    seeds: Sequence[int],
-    engine: ExpectationEngine | None,
-    orders: Sequence[int],
-) -> list[ExperimentReport]:
-    # One report per seed, the seeds filtered in blocks of one pass each.
-    for order in orders:
-        _integer("order", order, 1)
-    orders_run = tuple(sorted(set(orders) | {1}))
-    # Without an engine, each seed takes its experiment's default engine;
-    # the features standardize their inputs as the experiment says.
-    entry = _experiment(model.name)
-    engines = [entry.engine(seed, orders_run) if engine is None else engine for seed in seeds]
-    features = [make_monomial_feature(model.meas_dim, o, entry.standardize) for o in orders_run]
-    points = _unit_points(engines[0], model.state_dim, model.obs_noise_dim).weights.size
-    blocks = -(-len(seeds) * len(features) * points // _BLOCK_POINTS)
-    size = -(-len(seeds) // blocks)
-    reports = []
-    for lo in range(0, len(seeds), size):
-        block = slice(lo, lo + size)
-        reports += _run_block(
-            model, prior, steps, seeds[block], engines[block], features, orders_run
-        )
-    return reports
-
-
 def _run_block(model, prior, steps, seeds, engines, features, orders_run):
     start = time.perf_counter()
     root = _psd_roots(prior.cov[None])[0][0]
@@ -302,8 +273,24 @@ def run_experiment_batch(
     _integer("steps", steps, 1)
     model, prior = entry.factory(**model_kwargs)
     orders = (entry.order,) if orders is None else orders
+    for order in orders:
+        _integer("order", order, 1)
+    orders_run = tuple(sorted(set(orders) | {1}))
+    # Without an engine, each seed takes its experiment's default engine;
+    # the features standardize their inputs as the experiment says.
     seeds = range(base_seed, base_seed + n_seeds)
-    return _run_tracking(model, prior, steps, seeds, engine, orders)
+    engines = [entry.engine(seed, orders_run) if engine is None else engine for seed in seeds]
+    features = [make_monomial_feature(model.meas_dim, o, entry.standardize) for o in orders_run]
+    points = _unit_points(engines[0], model.state_dim, model.obs_noise_dim).weights.size
+    blocks = -(-len(seeds) * len(features) * points // _BLOCK_POINTS)
+    size = -(-len(seeds) // blocks)
+    reports = []
+    for lo in range(0, len(seeds), size):
+        block = slice(lo, lo + size)
+        reports += _run_block(
+            model, prior, steps, seeds[block], engines[block], features, orders_run
+        )
+    return reports
 
 
 def _fmt(value) -> str:
@@ -317,15 +304,16 @@ def write_report_csv(reports: Sequence[ExperimentReport], order: int, path) -> N
     The bytes are those of ``csv.writer`` with ``lineterminator="\\n"``:
     the repr of a float holds no delimiter, quote or newline, so no field
     is ever quoted, and each column is formatted once and the rows joined.
+    A report without an order-``order`` run raises ValueError before the
+    file is opened.
     """
     _integer("order", order, 1)
+    for report in reports:
+        if order not in report.means:
+            raise ValueError(f"report for seed {report.seed} has no order-{order} run")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for report in reports:
-            if order not in report.means:
-                raise ValueError(
-                    f"report for seed {report.seed} has no order-{order} run"
-                )
             columns = (
                 report.true_states,
                 report.measurements,

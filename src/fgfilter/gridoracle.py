@@ -184,8 +184,8 @@ def default_grids(
     """Pick grids covering ``span`` standard deviations on both axes.
 
     The x grid comes straight from the belief; the y grid from seeded
-    Monte Carlo moments of the measurement under it. ``seed`` must be a
-    nonnegative integer (not a bool).
+    Monte Carlo moments of the measurement under it. ``span`` must be a
+    positive real and ``seed`` a nonnegative integer (not a bool).
     """
     _integer("seed", seed, 0)
     span = _real("span", span)
@@ -206,6 +206,8 @@ def default_grids(
 def _state_grid(belief: GaussianBelief, n: int, span: float) -> Grid1D:
     # The x grid of default_grids, straight from a scalar belief.
     span = _real("span", span)
+    if span <= 0.0:
+        raise ValueError(f"span must be positive, got {span}")
     mu = float(belief.mean[0])
     sd = float(np.sqrt(belief.cov[0, 0]))
     if sd <= 0.0:

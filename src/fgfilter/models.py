@@ -209,13 +209,14 @@ def _model_param(name: str, value) -> float:
     return _real(name, value, 0 if name == "prior_var" else -math.inf)
 
 
-def _integer(name: str, value, least: int) -> None:
+def _integer(name: str, value, least: int):
     # Screen of an integer argument from outside the package: an int or a
-    # numpy integer, not a bool, and at least ``least``.
+    # numpy integer, not a bool, and at least ``least``; returned as given.
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _real(name: str, value, least: float = -math.inf) -> float:

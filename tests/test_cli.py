@@ -311,6 +311,13 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         ("simulate", "model.prior_var = nan"),
         ("simulate", "model.prior_mean = inf"),
         ("simulate", "model.noise_scale = nan"),
+        ("simulate", "model.prior_var = wide"),
+        # values that parse but that the run refuses
+        ("simulate", "run.seeds = 0"),
+        ("simulate", "run.steps = 0"),
+        ("kl", "run.seed = -2"),
+        ("density", "feature.order = 0"),
+        ("simulate", "model.name = pendulum"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, capsys, command, line):
@@ -449,11 +456,15 @@ def test_parse_range_names_the_flag(raw, message):
     "argv, line, message",
     [
         (["density", "--seed", "-1"], "", "seed must be at least 0, got -1"),
-        (["kl"], "run.seed = -2\n", "seed must be at least 0, got -2"),
+        (
+            ["kl"],
+            "run.seed = -2\n",
+            "config key 'run.seed' has invalid value '-2': seed must be at least 0, got -2",
+        ),
         (
             ["simulate", "--seed", "-1", "--steps", "3"],
             "engine.seed = 0\n",
-            "base_seed must be at least 0, got -1",
+            "seed must be at least 0, got -1",
         ),
     ],
     ids=["density", "kl", "simulate"],
@@ -463,4 +474,28 @@ def test_negative_seed_exits_one_naming_it(tmp_path, capsys, argv, line, message
     out = tmp_path / "o"
     assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_flag_wins_over_the_model_key(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "model.name = heaviside\n")
+    out = tmp_path / "o"
+    argv = ["kl", "--model", "noise_magnitude", "--orders", "1", "--grid-n", "21"]
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["kl_noise_magnitude.csv"]
+    assert _read_lines(out / "kl_noise_magnitude.csv")[1].startswith("noise_magnitude,1,")
+    capsys.readouterr()
+    # model.* keys are checked against the model the flag selected.
+    cfg = _write_config(tmp_path, "model.name = heaviside\nmodel.step_height = 7\n")
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 1
+    err = capsys.readouterr().err
+    assert "'model.step_height' does not apply to model 'noise_magnitude'" in err
+
+
+@pytest.mark.parametrize("argv", [["density", "--span", "0"], ["kl", "--span", "-6"]])
+def test_non_positive_span_exits_one_naming_it(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    argv = [*argv, "--model", "heaviside", "--grid-n", "21", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert "error: span must be positive, got" in capsys.readouterr().err
     assert not out.exists()

@@ -6,7 +6,6 @@ from fgfilter import run_heaviside_experiment
 from fgfilter.config import (
     engine_from_config,
     load_config,
-    model_from_config,
     parse_config_text,
     parse_orders,
 )
@@ -51,36 +50,6 @@ def test_parse_orders():
         parse_orders("2,2")
     with pytest.raises(ValueError, match="order 1 is listed twice"):
         parse_orders("1,3,1")
-
-
-def test_model_from_config():
-    model, prior = model_from_config({"model.name": "noise_magnitude"})
-    assert model.name == "noise_magnitude"
-    assert prior.mean[0] == 5.0
-    model, prior = model_from_config(
-        {"model.name": "heaviside", "model.prior_var": "2.0"}
-    )
-    assert prior.cov[0, 0] == 2.0
-    # explicit name argument wins over the config
-    model, _ = model_from_config({"model.name": "heaviside"}, name="noise_magnitude")
-    assert model.name == "noise_magnitude"
-    with pytest.raises(ValueError):
-        model_from_config({})
-    with pytest.raises(ValueError):
-        model_from_config({}, name="pendulum")
-    with pytest.raises(ValueError, match="model.prior_var"):
-        model_from_config({"model.name": "heaviside", "model.prior_var": "wide"})
-
-
-def test_model_from_config_rejects_the_other_models_keys():
-    model, prior = model_from_config({"model.name": "heaviside"})
-    assert (prior.mean[0], prior.cov[0, 0]) == (0.0, 5.0)
-    with pytest.raises(ValueError, match="'model.noise_scale'.*'heaviside'"):
-        model_from_config({"model.name": "heaviside", "model.noise_scale": "7"})
-    # the key is checked against the model actually selected
-    cfg = {"model.name": "heaviside", "model.step_height": "7"}
-    with pytest.raises(ValueError, match="'model.step_height'.*'noise_magnitude'"):
-        model_from_config(cfg, name="noise_magnitude")
 
 
 def test_engine_from_config():

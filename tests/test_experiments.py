@@ -30,7 +30,6 @@ from fgfilter.experiments import (
     REPORT_COLUMNS,
     SUMMARY_COLUMNS,
     ExperimentReport,
-    _run_tracking,
 )
 
 
@@ -107,12 +106,14 @@ def test_heaviside_features_standardize_as_the_table_says():
 
 def test_model_keywords_go_to_the_factory():
     rep = run_heaviside_experiment(steps=5, seed=0, step_height=7.0)
+    # The same filter run by hand on the step-7 model, with heaviside's
+    # standardized features and seeded draws, reproduces the report.
     model, prior = make_heaviside_model(step_height=7.0)
-    ref = _run_tracking(model, prior, 5, [0], None, (3,))[0]
-    assert np.array_equal(rep.measurements, ref.measurements)
-    for order in rep.orders:
-        assert np.array_equal(rep.means[order], ref.means[order])
-        assert np.array_equal(rep.stds[order], ref.stds[order])
+    features = [make_monomial_feature(1, 1, True), make_monomial_feature(1, 3, True)]
+    ref = run_filter_lanes(model, prior, features, monte_carlo(seed=0), rep.measurements)
+    for lane, order in enumerate(rep.orders):
+        assert np.array_equal(rep.means[order], ref.means[lane, :, 0])
+        assert np.array_equal(rep.stds[order], np.sqrt(np.clip(ref.covs[lane, :, 0, 0], 0, None)))
     default = run_heaviside_experiment(steps=5, seed=0)
     assert not np.array_equal(rep.measurements, default.measurements)
     # A keyword the factory does not take is an error, not ignored.
@@ -265,6 +266,18 @@ def test_report_csv_layout(tmp_path):
     assert first[0] == "0" and first[1] == "1"  # seed then 1-based step
     with pytest.raises(ValueError):
         write_report_csv(reports, 4, tmp_path / "missing.csv")
+
+
+def test_report_csv_checks_every_report_before_opening_the_file(tmp_path):
+    # Whether the first or only a later report lacks the order, no file
+    # is left behind, not even its header.
+    without = run_noise_experiment(steps=3)
+    with_3 = run_noise_experiment(steps=3, orders=(3,))
+    path = tmp_path / "report.csv"
+    for reports in ([without], [with_3, without]):
+        with pytest.raises(ValueError, match="report for seed 0 has no order-3 run"):
+            write_report_csv(reports, 3, path)
+        assert not path.exists()
 
 
 def _reference_report_csv(reports, order, path):

@@ -154,6 +154,13 @@ def test_default_grids_screen_span_once():
     assert default_grids(model, prior, n=5, span=np.float32(6.0)) == grids
 
 
+@pytest.mark.parametrize("span", [0, -6])
+def test_default_grids_need_a_positive_span(span):
+    model, prior = make_noise_magnitude_model()
+    with pytest.raises(ValueError, match=f"^span must be positive, got {float(span)}$"):
+        default_grids(model, prior, n=5, span=span)
+
+
 def test_grid_density_validation():
     x = Grid1D(0.0, 1.0, 3)
     y = Grid1D(0.0, 1.0, 2)

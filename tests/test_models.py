@@ -180,7 +180,7 @@ def test_noise_magnitude_likelihood_normalized():
 def test_heaviside_maps():
     model, prior = make_heaviside_model()
     assert model.name == "heaviside"
-    assert prior.cov[0, 0] == 5.0
+    assert prior.mean[0] == 0.0 and prior.cov[0, 0] == 5.0
     x = np.array([[-1.0], [0.0], [1.0]])
     w = np.zeros((3, 1))
     # the step pays out from x = 0 inclusive
