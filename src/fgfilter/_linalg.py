@@ -6,11 +6,13 @@ callers can tell numerical breakdown apart from bad arguments. The
 finite screen (:func:`_finite`), the PSD screen (:func:`_psd_ok`,
 :func:`_require_psd`) and the fit's three kernels (the Gram solve
 :func:`_cho_solve_jittered`, the clip :func:`_clip_psd` and the roots
-:func:`_psd_roots`) are defined here once. The kernels do not check
-their arguments: a value is screened where it enters the package or in
-the kernel that produced it. Only the Cholesky solve retries, with an
-escalating diagonal jitter, before giving up; a matrix that fails the
-PSD screen is rejected, not repaired.
+:func:`_psd_roots`) are defined here once. They call LAPACK's ``dpotrf``,
+``dpotrs`` and (in :func:`_eigh`) ``dsyevd`` directly: for the small
+matrices here the wrappers cost more than the arithmetic. The kernels
+do not check their arguments: a value is screened where it enters the
+package or in the kernel that produced it. Only the Cholesky solve
+retries, with an escalating diagonal jitter, before giving up; a matrix
+that fails the PSD screen is rejected, not repaired.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 # Jitter schedule: start at BASE_JITTER * mean(diag), grow tenfold per
 # retry, give up after MAX_JITTER_ROUNDS retries.
@@ -84,8 +86,7 @@ def _cho_solve_jittered(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     # jitter on factorization failure and NumericsError once the budget
     # is exhausted. Callers pass screened input or screen the solution:
     # non-finite input may factor without complaint and carry NaN into
-    # the result. LAPACK is called directly because for the small
-    # matrices here the wrappers cost more than the arithmetic.
+    # the result.
     jitter = None
     for round_ in range(MAX_JITTER_ROUNDS + 1):
         low, info = dpotrf(mat, lower=1)
@@ -133,14 +134,14 @@ def _clip_psd(a: np.ndarray, scale, roots: bool = False):
 
     out = 0.5 * (a + a.swapaxes(1, 2))
     if _finite(a):
-        w, vec = np.linalg.eigh(out)
+        w, vec = _eigh(out)
         if w[:, 0].min() >= 0.0:
             # out is exactly symmetric, so this is _psd_roots(out) bit for bit.
             return out, {}, _eig_roots(w, vec) if roots else None
         finite = np.full(len(a), True)
     else:
         finite = np.isfinite(a).all(axis=(1, 2))
-        w, vec = np.linalg.eigh(np.where(finite[:, None, None], out, 0.0))
+        w, vec = _eigh(np.where(finite[:, None, None], out, 0.0))
     ref = scale() if callable(scale) else scale
     ok = finite & ~(w[:, 0] < -PSD_REL_TOL * np.maximum(ref, _TINY))
     problems = {}
@@ -172,8 +173,19 @@ def _psd_roots(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         var = covs[:, 0, 0]
         ok = var >= 0.0
         return np.sqrt(np.where(ok, var, 0.0))[:, None, None], ok
-    w, v = np.linalg.eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
+    w, v = _eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
     return _eig_roots(w, v), _psd_ok(w)
+
+
+def _eigh(a):
+    # np.linalg.eigh of a stack of symmetric matrices, bit for bit: both run
+    # dsyevd on the lower triangles, and raise where it fails (NaN input).
+    w, v = np.empty(a.shape[:2]), np.empty(a.shape)
+    for i in range(len(a)):
+        w[i], v[i], info = dsyevd(a[i], lower=1)
+        if info:
+            raise NumericsError(f"eigendecomposition failed (LAPACK dsyevd info {info})")
+    return w, v
 
 
 def _eig_roots(w, v):

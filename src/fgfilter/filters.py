@@ -707,7 +707,8 @@ def _filter_pass(model, prior, features, engines, ys):
             fail([j], problem)
         # The step's one non-finite screen, over every lane's posterior.
         finite = np.isfinite(mean.sum(axis=1) + cov.sum(axis=(1, 2)))
-        fail(np.flatnonzero(~finite).tolist(), "posterior moments are non-finite")
+        if not finite.all():
+            fail(np.flatnonzero(~finite).tolist(), "posterior moments are non-finite")
         means[:, t], covs[:, t] = mean, cov
         if any(dead):
             # A dead lane holds NaN from its failing step on.

@@ -25,6 +25,7 @@ from fgfilter import (
     default_grids,
     fgf_solve,
     fgf_update,
+    gauss_hermite,
     gf_update,
     grid_joint_moments,
     joint_density_grid,
@@ -576,6 +577,35 @@ def test_failing_lane_is_contained():
     with pytest.raises(NumericsError) as exc:
         run_filter(model, prior, poisoned, engine, meas)
     assert exc.value.step == bad_step
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observed_feature_fails_its_lane_at_that_step(bad):
+    # The quadratic feature of one observed measurement is non-finite past
+    # its constant entry, so the posterior's finite screen, not the
+    # feature's contract check, stops that lane at exactly that step; the
+    # affine lane runs through and equals its solo run bit for bit.
+    model, prior = make_noise_magnitude_model()
+    engine = gauss_hermite(3)
+    _, meas = simulate(model, prior.mean, 30, seed=6)
+    base = make_monomial_feature(1, 2)
+    bad_step = 11
+    poisoned = FeatureFunction(
+        name="poisoned",
+        out_dim=base.out_dim,
+        map=lambda y: np.where(y == meas[bad_step], np.array([1.0, bad, bad]), base.map(y)),
+    )
+    affine = make_affine_feature(1)
+    lanes = run_filter_lanes(model, prior, [affine, poisoned], engine, meas)
+    assert lanes.diverged_at == (None, bad_step)
+    assert str(lanes.errors[1]) == f"filter failed at step {bad_step}: posterior moments are non-finite"
+    assert lanes.errors[1].__cause__ is None
+    assert np.all(np.isnan(lanes.means[1, bad_step:])) and np.all(np.isnan(lanes.covs[1, bad_step:]))
+    solo = run_filter(model, prior, affine, engine, meas)
+    assert np.array_equal(lanes.means[0], [b.mean for b in solo])
+    assert np.array_equal(lanes.covs[0], [b.cov for b in solo])
+    solo = run_filter(model, prior, base, engine, meas[:bad_step])
+    assert np.array_equal(lanes.means[1, :bad_step], [b.mean for b in solo])
 
 
 def test_failing_lane_in_a_seed_block_is_contained():

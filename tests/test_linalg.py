@@ -11,10 +11,12 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from fgfilter import FgfPosteriorParams, GaussianBelief, JointMoments, NumericsError
+import fgfilter._linalg
 from fgfilter._linalg import (
     PSD_REL_TOL,
     _cho_solve_jittered,
     _clip_psd,
+    _eigh,
     _psd_roots,
     gaussian_pdf,
     symmetrize,
@@ -201,3 +203,56 @@ def test_psd_screen_is_shared(consumer):
     screen(inside)
     with pytest.raises(NumericsError):
         screen(outside)
+
+
+def _symmetric_stacks(rng, d, n_lanes):
+    # PSD, indefinite and singular stacks, then stacks with one entry
+    # (and its mirror) non-finite in one matrix.
+    for _ in range(20):
+        a = rng.standard_normal((n_lanes, d, d))
+        yield a @ a.swapaxes(1, 2)
+        yield a + a.swapaxes(1, 2)
+        v = rng.standard_normal((n_lanes, d, 1))
+        yield v @ v.swapaxes(1, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(d):
+            for j in range(i + 1):
+                a = rng.standard_normal((n_lanes, d, d))
+                a = a @ a.swapaxes(1, 2)
+                lane = rng.integers(n_lanes)
+                a[lane, i, j] = a[lane, j, i] = bad
+                yield a
+
+
+@pytest.mark.parametrize("n_lanes", [1, 7])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_eigh_is_numpy_eigh_bit_for_bit(d, n_lanes):
+    # Same eigenvalues and eigenvectors, NaN where numpy gives NaN; where
+    # numpy's LAPACK call fails (it raises LinAlgError), _eigh raises
+    # NumericsError. Which non-finite inputs fail depends on the LAPACK
+    # build; every finite stack must come through.
+    rng = np.random.default_rng(100 * d + n_lanes)
+    finite = 0
+    for a in _symmetric_stacks(rng, d, n_lanes):
+        try:
+            want = np.linalg.eigh(a)
+        except np.linalg.LinAlgError:
+            with pytest.raises(NumericsError, match="dsyevd info"):
+                _eigh(a)
+            continue
+        got = _eigh(a)
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+        finite += bool(np.isfinite(a).all())
+    assert finite == 60
+
+
+def test_eigh_raises_on_nonzero_lapack_info(monkeypatch):
+    def failing(a, lower):
+        return np.zeros(len(a)), np.zeros_like(a), -4
+
+    monkeypatch.setattr(fgfilter._linalg, "dsyevd", failing)
+    with pytest.raises(NumericsError, match="dsyevd info -4"):
+        _eigh(np.eye(3)[None])
+    with pytest.raises(NumericsError, match="dsyevd info -4"):
+        _psd_roots(np.eye(3)[None])
