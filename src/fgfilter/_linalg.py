@@ -4,15 +4,17 @@ Covariance handling follows one policy everywhere: matrices are kept
 explicitly symmetric, and failures raise :class:`NumericsError` so
 callers can tell numerical breakdown apart from bad arguments. The
 finite screen (:func:`_finite`), the PSD screen (:func:`_psd_ok`,
-:func:`_require_psd`) and the fit's three kernels (the Gram solve
-:func:`_cho_solve_jittered`, the clip :func:`_clip_psd` and the roots
-:func:`_psd_roots`) are defined here once. They call LAPACK's ``dpotrf``,
-``dpotrs`` and (in :func:`_eigh`) ``dsyevd`` directly: for the small
-matrices here the wrappers cost more than the arithmetic. The kernels
-do not check their arguments: a value is screened where it enters the
-package or in the kernel that produced it. Only the Cholesky solve
-retries, with an escalating diagonal jitter, before giving up; a matrix
-that fails the PSD screen is rejected, not repaired.
+:func:`_require_psd`) and the fit's kernels (the QR fit of weighted
+points :func:`_weighted_qr`, the Gram solve :func:`_cho_solve_jittered`
+from moments, the clip :func:`_clip_psd` and the roots
+:func:`_psd_roots`) are defined here once. They call LAPACK's
+``dgeqrf``, ``dtrtrs``, ``dpotrf``, ``dpotrs`` and (in :func:`_eigh`)
+``dsyevd`` directly: for the small matrices here the wrappers cost more
+than the arithmetic. The kernels do not check their arguments: a value
+is screened where it enters the package or in the kernel that produced
+it. Only the Cholesky solve retries, with an escalating diagonal
+jitter, before giving up; a matrix that fails the PSD screen is
+rejected, not repaired.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
+from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs, dsyevd, dtrtrs
 
 # Jitter schedule: start at BASE_JITTER * mean(diag), grow tenfold per
 # retry, give up after MAX_JITTER_ROUNDS retries.
@@ -102,25 +104,38 @@ def _cho_solve_jittered(mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise NumericsError("matrix is singular within the jitter budget")
 
 
-def _clip_psd(a: np.ndarray, scale, roots: bool = False):
+def _weighted_qr(cols, rows, sqrt_w, a):
+    # Weighted least squares of ``rows`` (m, n) on ``cols`` (n, k) over n
+    # points, by Householder QR of A = diag(sqrt_w) [cols | rows^T]. ``a``
+    # is a (k + m, n) workspace: written in that row order it holds A^T,
+    # so A is Fortran-ordered and dgeqrf factors it in place. With
+    # R = [[R_11, R_12], [0, R_22]], A^T A = R^T R, the coefficients are
+    # R_11^-1 R_12 and the weighted residual's second moment is
+    # R_22^T R_22, PSD by construction: the normal equations, which square
+    # the conditioning of A, are never formed. Returns R's rows, at most
+    # k + m, with Householder vectors below the diagonal, and the
+    # coefficients (k, m), meaningless where R_11 is singular.
+    k = cols.shape[1]
+    np.multiply(cols.T, sqrt_w, out=a[:k])
+    np.multiply(rows, sqrt_w, out=a[k:])
+    qr = dgeqrf(a.T, overwrite_a=1)[0]
+    return qr[: a.shape[0]], dtrtrs(qr[:, :k], qr[:k, k:])[0]
+
+
+def _clip_psd(a: np.ndarray, scale):
     # Symmetrize a stack of square float matrices (L, d, d) and clip
     # eigenvalues that are negative within tolerance to zero. ``scale``
     # gives each one's reference magnitude for the tolerance (after a
     # subtractive update the result can be much smaller than the
-    # operands), as an array or as a function returning it, called only
-    # once some matrix has a negative eigenvalue. Returns the clipped
-    # stack, {index: message} for the matrices that cannot be made PSD,
-    # whose entries are meaningless, and, if ``roots`` asks for them,
-    # their _psd_roots when the screen's eigendecomposition yields them
-    # as is (d > 1, every matrix PSD), else None. Non-finite input is
-    # reported as such, not as an indefinite matrix.
+    # operands). Returns the clipped stack and {index: message} for the
+    # matrices that cannot be made PSD, whose entries are meaningless.
+    # Non-finite input is reported as such, not as an indefinite matrix.
     if a.shape[-1] == 1:
         v = a[:, 0, 0]
         if v.min() >= 0.0 and v.max() < np.inf:
-            return v.reshape(-1, 1, 1).copy(), {}, None
-        ref = scale() if callable(scale) else scale
+            return v.reshape(-1, 1, 1).copy(), {}
         nonneg = v >= 0.0
-        ok = (nonneg | (v >= -PSD_REL_TOL * np.maximum(ref, _TINY))) & np.isfinite(v)
+        ok = (nonneg | (v >= -PSD_REL_TOL * np.maximum(scale, _TINY))) & np.isfinite(v)
         problems = {}
         if not ok.all():
             for i in np.flatnonzero(~ok).tolist():
@@ -130,20 +145,18 @@ def _clip_psd(a: np.ndarray, scale, roots: bool = False):
                     if not math.isfinite(vi)
                     else f"variance {vi!r} is negative beyond tolerance"
                 )
-        return np.where(nonneg, v, 0.0).reshape(-1, 1, 1), problems, None
+        return np.where(nonneg, v, 0.0).reshape(-1, 1, 1), problems
 
     out = 0.5 * (a + a.swapaxes(1, 2))
     if _finite(a):
         w, vec = _eigh(out)
         if w[:, 0].min() >= 0.0:
-            # out is exactly symmetric, so this is _psd_roots(out) bit for bit.
-            return out, {}, _eig_roots(w, vec) if roots else None
+            return out, {}
         finite = np.full(len(a), True)
     else:
         finite = np.isfinite(a).all(axis=(1, 2))
         w, vec = _eigh(np.where(finite[:, None, None], out, 0.0))
-    ref = scale() if callable(scale) else scale
-    ok = finite & ~(w[:, 0] < -PSD_REL_TOL * np.maximum(ref, _TINY))
+    ok = finite & ~(w[:, 0] < -PSD_REL_TOL * np.maximum(scale, _TINY))
     problems = {}
     if not ok.all():
         for i in np.flatnonzero(~ok).tolist():
@@ -156,7 +169,7 @@ def _clip_psd(a: np.ndarray, scale, roots: bool = False):
     if neg.size:
         clipped = (vec[neg] * np.maximum(w[neg], 0.0)[:, None, :]) @ vec[neg].swapaxes(1, 2)
         out[neg] = 0.5 * (clipped + clipped.swapaxes(1, 2))
-    return out, problems, None
+    return out, problems
 
 
 def _psd_roots(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +187,7 @@ def _psd_roots(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ok = var >= 0.0
         return np.sqrt(np.where(ok, var, 0.0))[:, None, None], ok
     w, v = _eigh(0.5 * (covs + covs.swapaxes(-1, -2)))
-    return _eig_roots(w, v), _psd_ok(w)
+    return (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.swapaxes(-1, -2), _psd_ok(w)
 
 
 def _eigh(a):
@@ -186,12 +199,6 @@ def _eigh(a):
         if info:
             raise NumericsError(f"eigendecomposition failed (LAPACK dsyevd info {info})")
     return w, v
-
-
-def _eig_roots(w, v):
-    # Symmetric square roots from ascending eigenvalues (L, d) and
-    # eigenvectors (L, d, d), negative eigenvalues taken as zero.
-    return (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.swapaxes(-1, -2)
 
 
 def gaussian_pdf(x, mean=0.0, var=1.0):

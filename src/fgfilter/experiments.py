@@ -163,14 +163,12 @@ def _run_block(model, prior, steps, seeds, engines, features, orders_run):
 
 
 class Experiment(NamedTuple):
-    """A built-in: its model factory, default feature order, whether its
-    features standardize (see ``FeatureFunction``) and ``engine``, a
-    seed's default engine given the seed and the orders run.
+    """A built-in: its model factory, default feature order and
+    ``engine``, a seed's default engine given the seed and the orders run.
     """
 
     factory: Callable[..., tuple[StateSpaceModel, GaussianBelief]]
     order: int
-    standardize: bool
     engine: Callable[[int, tuple[int, ...]], ExpectationEngine]
 
 
@@ -188,13 +186,11 @@ def _seeded_monte_carlo(seed: int, orders: tuple[int, ...]) -> ExpectationEngine
 
 # The one place a built-in experiment is defined. The heaviside step is
 # not polynomial, and under Gauss-Hermite rules criterion 6's far check
-# fails, so it keeps per-seed Monte Carlo. Its features standardize:
-# across a step of 50, raw Grams of order 5 and up run away. The noise
-# model's fit is as good raw, and rescaling would slow its batch by a third.
+# fails, so it keeps per-seed Monte Carlo.
 EXPERIMENTS: Mapping[str, Experiment] = MappingProxyType(
     {
-        "noise_magnitude": Experiment(make_noise_magnitude_model, 2, False, _exact_gauss_hermite),
-        "heaviside": Experiment(make_heaviside_model, 3, True, _seeded_monte_carlo),
+        "noise_magnitude": Experiment(make_noise_magnitude_model, 2, _exact_gauss_hermite),
+        "heaviside": Experiment(make_heaviside_model, 3, _seeded_monte_carlo),
     }
 )
 
@@ -237,9 +233,7 @@ def run_heaviside_experiment(
 
     Near the discontinuity the cubic feature reacts to which side of
     the step the measurement fell on; far away both filters behave like
-    the linear optimum. Its features standardize their inputs: raw
-    cubic Grams of measurements around 50 are pathologically
-    ill-conditioned. Model keyword arguments (``prior_mean``,
+    the linear optimum. Model keyword arguments (``prior_mean``,
     ``prior_var``, ``step_height``) go to :func:`make_heaviside_model`.
     """
     _integer("seed", seed, 0)
@@ -276,11 +270,10 @@ def run_experiment_batch(
     for order in orders:
         _integer("order", order, 1)
     orders_run = tuple(sorted(set(orders) | {1}))
-    # Without an engine, each seed takes its experiment's default engine;
-    # the features standardize their inputs as the experiment says.
+    # Without an engine, each seed takes its experiment's default engine.
     seeds = range(base_seed, base_seed + n_seeds)
     engines = [entry.engine(seed, orders_run) if engine is None else engine for seed in seeds]
-    features = [make_monomial_feature(model.meas_dim, o, entry.standardize) for o in orders_run]
+    features = [make_monomial_feature(model.meas_dim, o) for o in orders_run]
     points = _unit_points(engines[0], model.state_dim, model.obs_noise_dim).weights.size
     blocks = -(-len(seeds) * len(features) * points // _BLOCK_POINTS)
     size = -(-len(seeds) // blocks)

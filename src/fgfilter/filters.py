@@ -11,6 +11,11 @@ of state and features under the predicted belief:
     Gamma = E[x phi(y)^T] E[phi(y) phi(y)^T]^{-1}
     Sigma = E[(x - Gamma phi(y)) (x - Gamma phi(y))^T]
 
+that is, a weighted least-squares regression of x on phi(y). The
+filter pass solves it by QR of its sqrt(w)-weighted points, which
+never squares their conditioning; :func:`fgf_solve` solves the normal
+equations in given moments and is the pass's independent reference.
+
 This is the Gaussian filter (GF) update on the virtual measurement
 phi(y)[1:]: conditioning the joint Gaussian of x and phi(y)[1:] gives
 the same posterior (:func:`gf_update`). The affine feature (1, y) makes
@@ -30,7 +35,9 @@ batch of one.
 The pass fixes its lane layout once and screens each posterior once;
 :func:`run_filter` hands the posteriors out as they are. A lane that
 fails records its step and is parked at the prior, so it never feeds a
-non-finite value to the lanes it shares kernels with.
+non-finite value to the lanes it shares kernels with. The pass needs
+nonnegative point weights; an engine with a negative one (sigma points
+with kappa < 0) is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -49,10 +56,11 @@ from ._linalg import (
     _finite,
     _psd_roots,
     _require_psd,
+    _weighted_qr,
     symmetrize,
 )
 from .models import GaussianBelief, StateSpaceModel, _integer, _owned
-from .quadrature import ExpectationEngine, PointSet, _place, _unit_points
+from .quadrature import ExpectationEngine, PointSet, _place, _spread, _unit_points
 
 __all__ = [
     "FeatureFunction",
@@ -79,18 +87,11 @@ class FeatureFunction:
     must put the constant 1 in the first output entry. The stage
     functions check that on every evaluation, the filter pass on its
     first step. ``out_dim`` includes the constant, so it is at least 2.
-
-    ``standardize`` has the filter pass rescale the map's inputs per step
-    by the predicted measurement mean and spread. For a map spanning the
-    polynomials up to its degree, as the monomial maps do, that changes
-    only the conditioning; for any other map it changes the fit. A map
-    with out_dim = meas_dim + 1 is never rescaled.
     """
 
     name: str
     out_dim: int
     map: Callable[[np.ndarray], np.ndarray]
-    standardize: bool = False
 
     def __post_init__(self):
         if not self.name:
@@ -98,8 +99,6 @@ class FeatureFunction:
         _integer("out_dim", self.out_dim, 2)
         if not callable(self.map):
             raise ValueError("map must be callable")
-        if not isinstance(self.standardize, bool):
-            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
 
 
 def make_affine_feature(meas_dim: int) -> FeatureFunction:
@@ -107,14 +106,13 @@ def make_affine_feature(meas_dim: int) -> FeatureFunction:
     return make_monomial_feature(meas_dim, 1)
 
 
-def make_monomial_feature(meas_dim: int, order: int, standardize: bool = False) -> FeatureFunction:
+def make_monomial_feature(meas_dim: int, order: int) -> FeatureFunction:
     """Componentwise monomials up to ``order``: (1, y, y^2, ..., y^order).
 
     Output layout is the constant, then all components of y, then all
     components of y^2, and so on; out_dim = 1 + meas_dim * order. The
     values are built component-major, one contiguous block per output,
     and returned as the transposed view of shape (..., out_dim).
-    ``standardize`` is the feature's; see :class:`FeatureFunction`.
     """
     _integer("meas_dim", meas_dim, 1)
     _integer("order", order, 1)
@@ -138,7 +136,7 @@ def make_monomial_feature(meas_dim: int, order: int, standardize: bool = False) 
         return out.T
 
     name = "affine" if order == 1 else f"monomial{order}"
-    return FeatureFunction(name=name, out_dim=out_dim, map=mapper, standardize=standardize)
+    return FeatureFunction(name=name, out_dim=out_dim, map=mapper)
 
 
 @dataclass(frozen=True)
@@ -294,8 +292,9 @@ def _predicted(model, points: PointSet | None, means, covs, roots=None):
     # process is matched exactly: F m + b and F P F^T + Q, symmetric up
     # to roundoff, which every consumer symmetrizes away. Otherwise the
     # process noises of ``points`` are stacked once per lane, placed with
-    # ``roots``, the covariances' _psd_roots, computed here if not given.
-    # The covariances are PSD already (validated prior, clipped posteriors).
+    # ``roots``, square roots of the covariances (the filter pass's R_xx^T),
+    # or their _psd_roots, computed here if not given. The covariances are
+    # PSD already (validated prior, QR-fitted posteriors).
     affine = model.affine_process
     if affine is not None:
         f = affine.transition
@@ -305,63 +304,6 @@ def _predicted(model, points: PointSet | None, means, covs, roots=None):
     states = _place(points, means, roots)
     prop = _map_points(model.process, states, points.noises, model.state_dim, "process map")
     return _moments(prop, points.weights)
-
-
-def _raw_moments(states, phis, weights, z, zw):
-    # Weighted raw second moments E[z z^T] of one lane's z = (x, phi(y)),
-    # from its states (dx, n) and feature values (n, k), over the points.
-    # The fit needs exactly these, so they are accumulated directly, not
-    # rebuilt from central moments. z and zw are the pass's (dx + k, n)
-    # workspaces for z and its weighted copy; with a component-major
-    # feature map, phis.T is contiguous and its copy a row copy. The
-    # constant feature entry rides along: its moments come out as mean 1
-    # and covariance row 0, up to the roundoff of the weights' sum.
-    dx = states.shape[0]
-    z[:dx] = states
-    z[dx:] = phis.T
-    np.multiply(z, weights, out=zw)
-    return zw @ z.T
-
-
-def _gain(raw, dx):
-    # Gamma of one lane from its raw second moments (dx + k, dx + k):
-    # solves E[phi phi^T] gamma^T = E[phi x^T]; see fgf_solve.
-    e_ff = raw[dx:, dx:]
-    try:
-        return _cho_solve_jittered(e_ff, raw[:dx, dx:].T).T
-    except NumericsError as err:
-        if not _finite(e_ff):
-            raise NumericsError("joint moments contain non-finite values") from err
-        raise NumericsError(
-            "feature Gram matrix is rank deficient beyond the jitter "
-            "budget; reduce the feature order or set the feature's "
-            f"standardize ({err})"
-        ) from err
-
-
-def _residual(raw, gamma):
-    # Residual covariance of the fit over a stack of lanes of one feature,
-    # raw (L, dx + k, dx + k) and gamma (L, dx, k). The full quadratic
-    # form stays PSD even when the solve took jitter.
-    dx = gamma.shape[1]
-    e_xx, e_xf, e_ff = raw[:, :dx, :dx], raw[:, :dx, dx:], raw[:, dx:, dx:]
-    cross = gamma @ e_xf.swapaxes(1, 2)
-    return e_xx - cross - cross.swapaxes(1, 2) + gamma @ e_ff @ gamma.swapaxes(1, 2)
-
-
-def _fit_scale(raw, dx):
-    # Reference magnitude of the fit's residual for the PSD clip, the mean
-    # diagonal of E[x x^T], over a stack of lanes.
-    return raw[:, :dx, :dx].trace(axis1=1, axis2=2) / dx
-
-
-def _input_spread(ys, weights):
-    # Predicted measurement mean and spread per lane, ys (lanes, dy, n),
-    # used to standardize feature inputs.
-    mu, cov = _moments(ys, weights)
-    var = np.diagonal(cov, axis1=-2, axis2=-1)
-    floor = 1e-12 * (1.0 + np.abs(mu))
-    return mu, np.sqrt(np.maximum(var, floor**2))
 
 
 def predict(
@@ -437,7 +379,7 @@ def gf_update(moments: JointMoments, y) -> GaussianBelief:
     mean = moments.mu_x + gain @ (y - mu_y)
     dx = moments.state_dim
     scale = max(float(np.trace(moments.s_xx)) / dx, _TINY)
-    cov, problems, _ = _clip_psd((moments.s_xx - gain @ s_xy.T)[None], np.array([scale]))
+    cov, problems = _clip_psd((moments.s_xx - gain @ s_xy.T)[None], np.array([scale]))
     if problems:
         raise NumericsError(problems[0])
     if not _finite(mean):
@@ -452,19 +394,27 @@ def fgf_solve(moments: JointMoments) -> FgfPosteriorParams:
     moments reconstructed from ``moments``, then evaluates the residual
     covariance through its full quadratic form, which stays PSD even
     when the Gram solve needed jitter. Raw moments that overflow float64,
-    as from means near 1e200, raise NumericsError.
+    as from means near 1e200, raise NumericsError. The filter pass fits
+    the same regression by QR of its weighted points; this moment-based
+    solve is its independent reference.
     """
     m = moments
     with np.errstate(over="ignore"):
         e_xf = m.s_xf + np.outer(m.mu_x, m.mu_f)
         e_xx = m.s_xx + np.outer(m.mu_x, m.mu_x)
-        raw = np.block([[e_xx, e_xf], [e_xf.T, m.s_ff + np.outer(m.mu_f, m.mu_f)]])
-    if not _finite(raw):
+        e_ff = m.s_ff + np.outer(m.mu_f, m.mu_f)
+    if not all(_finite(e) for e in (e_xf, e_xx, e_ff)):
         raise NumericsError("raw second moments overflow when rebuilt from the central moments")
-    gamma = _gain(raw, m.state_dim)
-    sigma, problems, _ = _clip_psd(
-        _residual(raw[None], gamma[None]), _fit_scale(raw[None], m.state_dim)
-    )
+    try:
+        gamma = _cho_solve_jittered(e_ff, e_xf.T).T
+    except NumericsError as err:
+        raise NumericsError(
+            f"feature Gram matrix is rank deficient beyond the jitter budget; "
+            f"reduce the feature order ({err})"
+        ) from err
+    cross = gamma @ e_xf.T
+    scale = np.array([np.trace(e_xx) / m.state_dim])
+    sigma, problems = _clip_psd((e_xx - cross - cross.T + gamma @ e_ff @ gamma.T)[None], scale)
     if problems:
         raise NumericsError(problems[0])
     if not _finite(gamma):
@@ -529,11 +479,12 @@ def run_filter_lanes(
     Every lane starts from ``prior`` and runs the predict/update
     recursion of :func:`run_filter` with its own feature. Per step, the
     lanes share one ``model.process`` and one ``model.observe``
-    evaluation over their stacked point sets, and each standardized
-    feature's shift and scale come from the same observed points. A
-    model that declares an affine process is predicted in closed form,
-    with no ``model.process`` call at all. A lane that breaks down
-    numerically records its error and stops; the others go on unchanged.
+    evaluation over their stacked point sets. A model that declares an
+    affine process is predicted in closed form, with no ``model.process``
+    call at all. Each lane fits its feature by QR of the sqrt(w)-weighted
+    points [phi(y) | x - m], m the predicted mean, so the engine's
+    weights must be nonnegative. A lane that breaks down numerically
+    records its error and stops; the others go on unchanged.
 
     Parameters are those of :func:`run_filter`, with ``features`` a
     sequence of feature maps, one per lane.
@@ -568,15 +519,16 @@ def _filter_pass(model, prior, features, engines, ys):
     # under engines[s], with one lane per (seed, feature), and return one
     # FilterLanes per seed. For the whole pass, seed s owns lanes
     # s*n_feat:(s+1)*n_feat and feature f owns lanes f::n_feat. The point
-    # kernels (placing, the observation map, the feature maps, the moment
-    # sums) run per seed, on its own cache-sized point set; the small
-    # algebra runs over every lane at once; only the Gram solve runs per
-    # lane. Each failure goes through fail, which records the lane's first
-    # error and stops it at once: its raw moments and gain stay zero, and
-    # after each step it is parked at the prior, so its prediction and
-    # observation repeat step 0's, which succeeded for its seed: it never
-    # feeds a non-finite value to the model or the kernels. The PSD clip
-    # and the finite screen below are the one screen of each posterior.
+    # kernels (placing, the observation map, the feature maps, the QR of
+    # the weighted points) run per seed, on its own cache-sized point set;
+    # the small algebra runs over every lane at once. Each failure goes
+    # through fail, which records the lane's first error and stops it at
+    # once: its factor becomes the identity, and after each step it is
+    # parked at the prior, so its prediction and observation repeat step
+    # 0's, which succeeded for its seed: it never feeds a non-finite value
+    # to the model or the kernels. The rank check and the finite screen
+    # below are the one screen of each posterior; R_xx^T R_xx is PSD by
+    # construction, and R_xx^T places the next step's process points.
     n_seeds, steps, dy = ys.shape
     n_feat, dx = len(features), model.state_dim
     n_lanes = n_seeds * n_feat
@@ -584,16 +536,18 @@ def _filter_pass(model, prior, features, engines, ys):
     covs = np.full((n_lanes, steps, dx, dx), np.nan)
     errors: list[NumericsError | None] = [None] * n_lanes
     dead = [False] * n_lanes
-    rescale = [f.standardize and f.out_dim > dy + 1 for f in features]
-    # The input spread is taken from the first standardized lane of a seed
-    # on: the lanes before it never read it.
-    scaled = rescale.index(True) if any(rescale) else n_feat
     # One point set per distinct engine, its noises tiled once per lane of
     # a seed: seeds under one engine share its draws.
     sets, spaces = {}, {}
     widest = max(f.out_dim for f in features)
     for engine in dict.fromkeys(engines):
         points = _unit_points(engine, dx, model.obs_noise_dim)
+        # The fit factors the sqrt(w)-weighted points.
+        if points.weights.min() < 0.0:
+            raise ValueError(
+                f"{engine.kind} engine with kappa={engine.kappa} gives a point a negative "
+                "weight, which has no square root; the fit needs nonnegative weights"
+            )
         # A fit with no fewer outputs than support points interpolates
         # them and leaves no residual variance.
         support = np.count_nonzero(points.weights > 0)
@@ -605,35 +559,32 @@ def _filter_pass(model, prior, features, engines, ys):
         proc = _process_points(model, engine)
         if proc is not None:
             proc = replace(proc, noises=np.tile(proc.noises, (n_feat, 1)))
-        # Per feature, the z and weighted-z workspaces of _raw_moments,
-        # allocated once per shape: every lane of that feature width and
-        # point count writes its moments' operands there in turn.
+        # Per feature, the workspace of _weighted_qr, allocated once per
+        # shape: every lane of that feature width and point count writes
+        # its weighted points there in turn.
         work = []
         for feat in features:
-            shape = (2, dx + feat.out_dim, points.weights.size)
+            shape = (feat.out_dim + dx, points.weights.size)
             if shape not in spaces:
                 spaces[shape] = np.empty(shape)
             work.append(spaces[shape])
-        sets[engine] = (points, np.tile(points.noises, (n_feat, 1)), proc, work)
+        sqrt_w = np.sqrt(points.weights)
+        sets[engine] = (points, sqrt_w, np.tile(points.noises, (n_feat, 1)), proc, work)
     seeds = [(slice(s * n_feat, (s + 1) * n_feat), *sets[e]) for s, e in enumerate(engines)]
     mean = np.repeat(prior.mean[None], n_lanes, axis=0)
     cov = np.repeat(prior.cov[None], n_lanes, axis=0)
-    # The posteriors' square roots, where the clip's screen yields them,
-    # so the point-based prediction skips one eigendecomposition.
-    post_roots = None
-    # Per feature, the raw moments and gains of its lanes, one row per seed.
-    raws = [np.zeros((n_seeds, dx + f.out_dim, dx + f.out_dim)) for f in features]
-    gammas = [np.zeros((n_seeds, dx, f.out_dim)) for f in features]
-    resid, fitted = np.empty_like(cov), np.empty_like(mean)
-    # Per lane, the standardization of its feature inputs.
-    shift, spread = np.zeros((n_lanes, dy)), np.ones((n_lanes, dy))
+    # Each belief's square root, the prior's until its lane's first fit.
+    prior_root = _psd_roots(prior.cov[None])[0]
+    root = np.repeat(prior_root, n_lanes, axis=0)
+    # Per feature, the R factors and gamma^T of its lanes, one row per
+    # seed. A seed with fewer points than k + dx leaves R's last rows zero.
+    factors = [np.zeros((n_seeds, f.out_dim + dx, f.out_dim + dx)) for f in features]
+    gammas = [np.zeros((n_seeds, f.out_dim, dx)) for f in features]
+    # R_xx's upper triangle; Householder vectors lie below it.
+    upper = np.triu(np.ones((dx, dx), dtype=bool))
     # The features' output contract is checked on the first step.
     checked = [partial(_feature_values, f) for f in features]
     plain = [f.map for f in features]
-
-    def feature(f, y, lanes):
-        # Feature f of measurements y, the points' or the observed ones.
-        return maps[f]((y - shift[lanes]) / spread[lanes] if rescale[f] else y)
 
     def fail(lanes, err):
         for j in lanes:
@@ -643,7 +594,7 @@ def _filter_pass(model, prior, features, engines, ys):
                 if isinstance(err, BaseException):
                     errors[j].__cause__ = err
                 s, f = divmod(j, n_feat)
-                raws[f][s] = gammas[f][s] = 0.0
+                factors[f][s], gammas[f][s] = np.eye(factors[f].shape[-1]), 0.0
 
     for t in range(steps):
         maps = plain if t else checked
@@ -655,27 +606,36 @@ def _filter_pass(model, prior, features, engines, ys):
             for lanes, *_, proc, _ in seeds:
                 if all(dead[lanes]):
                     continue
-                given = None if post_roots is None else post_roots[lanes]
                 try:
                     pmean[lanes], pcov[lanes] = _predicted(
-                        model, proc, mean[lanes], cov[lanes], given
+                        model, proc, mean[lanes], cov[lanes], root[lanes]
                     )
                 except NumericsError as err:
                     fail(range(lanes.start, lanes.stop), err)
+        if not _finite(pcov):
+            # A process map that returns NaN or inf fails its lanes here,
+            # before the stacked eigendecomposition sees the value.
+            broken = ~np.isfinite(pcov).all(axis=(1, 2))
+            fail(
+                np.flatnonzero(broken).tolist(),
+                "predicted covariance is non-finite or indefinite",
+            )
+            pmean[broken], pcov[broken] = prior.mean, prior.cov
         roots, psd = _psd_roots(pcov)
         psd = psd.tolist()
-        for s, (lanes, points, noises, _, work) in enumerate(seeds):
+        for s, (lanes, points, sqrt_w, noises, _, work) in enumerate(seeds):
             if all(dead[lanes]):
                 continue
-            states = _place(points, pmean[lanes], roots[lanes])
+            # The fit regresses each point's deviation from the predicted
+            # mean, so the mean's roundoff scales with the spread, not
+            # with the mean; the constant feature absorbs the shift.
+            dev = _spread(points, roots[lanes])
+            states = dev + pmean[lanes][:, :, None]
             try:
                 obs = _map_points(model.observe, states, noises, dy, "observation map")
             except NumericsError as err:
                 fail(range(lanes.start, lanes.stop), err)
                 continue
-            if scaled < n_feat:
-                tail = slice(lanes.start + scaled, lanes.stop)
-                shift[tail], spread[tail] = _input_spread(obs[scaled:], points.weights)
             for f in range(n_feat):
                 j = lanes.start + f
                 if dead[j]:
@@ -683,28 +643,31 @@ def _filter_pass(model, prior, features, engines, ys):
                 if not psd[j]:
                     fail([j], "predicted covariance is non-finite or indefinite")
                     continue
-                try:
-                    phis = feature(f, obs[f].T, j)
-                    raw = _raw_moments(states[f], phis, points.weights, *work[f])
-                    raws[f][s] = raw
-                    gammas[f][s] = _gain(raw, dx)
-                except NumericsError as err:
-                    fail([j], err)
-        mean = fitted
-        for f in range(n_feat):
-            group = slice(f, None, n_feat)
-            resid[group] = _residual(raws[f], gammas[f])
+                top, gammas[f][s] = _weighted_qr(maps[f](obs[f].T), dev[f], sqrt_w, work[f])
+                factors[f][s, : len(top)] = top
+        for f, feat in enumerate(features):
+            k, group = feat.out_dim, slice(f, None, n_feat)
+            r = factors[f]
+            # R_ff's diagonal: a NaN or a ratio at roundoff level fails
+            # the lane; NaN elsewhere in R reaches the finite screen below.
+            diag = np.abs(r.diagonal(axis1=1, axis2=2)[:, :k])
+            full = diag.min(axis=1) > 1e-14 * diag.max(axis=1)
+            if not full.all():
+                for s in np.flatnonzero(~full).tolist():
+                    fail(
+                        [s * n_feat + f],
+                        "weighted points are non-finite" if not _finite(diag[s])
+                        else "weighted feature matrix is rank deficient "
+                        f"(min/max |diag R| = {diag[s].min() / diag[s].max():.3g})",
+                    )
+            r_xx = np.where(upper, r[:, k:, k:], 0.0)
+            root[group] = r_xx.swapaxes(1, 2)
+            sigma = root[group] @ r_xx
+            cov[group] = 0.5 * (sigma + sigma.swapaxes(1, 2))
             # C-contiguous, so the product's bits do not depend on the
             # feature's output layout.
-            phi = np.ascontiguousarray(feature(f, ys[:, t], group))
-            mean[group] = (gammas[f] @ phi[:, :, None])[:, :, 0]
-        cov, problems, post_roots = _clip_psd(
-            resid,
-            lambda: np.stack([_fit_scale(raw, dx) for raw in raws], axis=1).ravel(),
-            model.affine_process is None,
-        )
-        for j, problem in problems.items():
-            fail([j], problem)
+            phi = np.ascontiguousarray(maps[f](ys[:, t]))
+            mean[group] = pmean[group] + (phi[:, None, :] @ gammas[f])[:, 0]
         # The step's one non-finite screen, over every lane's posterior.
         finite = np.isfinite(mean.sum(axis=1) + cov.sum(axis=(1, 2)))
         if not finite.all():
@@ -715,8 +678,7 @@ def _filter_pass(model, prior, features, engines, ys):
             means[dead, t], covs[dead, t] = np.nan, np.nan
             if all(dead):
                 break
-            mean[dead], cov[dead] = prior.mean, prior.cov
-            post_roots = None
+            mean[dead], cov[dead], root[dead] = prior.mean, prior.cov, prior_root
     means.setflags(write=False)
     covs.setflags(write=False)
     return [FilterLanes(means[lanes], covs[lanes], tuple(errors[lanes])) for lanes, *_ in seeds]

@@ -114,7 +114,10 @@ class PointSet:
 
     ``offsets`` has shape (state_dim, n_points), component-major; a
     belief places them at ``mean + root @ offsets`` (:func:`_place`),
-    with ``root`` the symmetric square root of its covariance.
+    with ``root`` a square root of its covariance, root @ root.T = cov.
+    The stage functions and the filter pass's measurement update use the
+    symmetric root; the pass places its process points with R_xx^T, the
+    transposed triangular factor of the previous step's fit.
     ``noises`` has shape (n_points, noise_dim) and ``weights`` shape
     (n_points,), summing to 1. All three are read-only.
     """
@@ -181,14 +184,19 @@ def _unit_points(engine: ExpectationEngine, state_dim: int, noise_dim: int) -> P
     return _POINT_BUILDERS[engine.kind](engine, state_dim, noise_dim)
 
 
-def _place(points: PointSet, means: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    # States mean + root @ offsets of each lane, shape (lanes, d, n), for
-    # means (lanes, d) and roots (lanes, d, d). For scalar states a
+def _spread(points: PointSet, roots: np.ndarray) -> np.ndarray:
+    # Each lane's deviations from its mean, root @ offsets, shape
+    # (lanes, d, n), for roots (lanes, d, d). For scalar states a
     # broadcast product is cheaper than matmul.
     if roots.shape[-1] == 1:
-        states = roots * points.offsets
-    else:
-        states = roots @ points.offsets
+        return roots * points.offsets
+    return roots @ points.offsets
+
+
+def _place(points: PointSet, means: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    # States mean + root @ offsets of each lane, shape (lanes, d, n), for
+    # means (lanes, d).
+    states = _spread(points, roots)
     states += means[:, :, None]
     return states
 

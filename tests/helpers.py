@@ -1,15 +1,29 @@
-"""Shared test utilities: linear-Gaussian models and a closed-form Kalman filter.
+"""Shared test utilities: linear-Gaussian models, a closed-form Kalman
+filter and a per-step audit against the grid oracle.
 
 The Kalman recursions here are written straight from the textbook
 equations and share no code with the package's moment-based update, so
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology. The audit fits
+each step with the moment-based Cholesky solve on grid moments, which
+shares no kernel with the filter pass's QR of its weighted points.
 """
 
 import dataclasses
 
 import numpy as np
 
-from fgfilter import AffineProcess, JointMoments, StateSpaceModel
+from fgfilter import (
+    AffineProcess,
+    FeatureFunction,
+    GaussianBelief,
+    JointMoments,
+    StateSpaceModel,
+    default_grids,
+    fgf_solve,
+    fgf_update,
+    grid_joint_moments,
+    joint_density_grid,
+)
 from fgfilter._linalg import gaussian_pdf
 
 
@@ -121,3 +135,39 @@ def kalman_filter(sys, mean, cov, measurements):
         cov = 0.5 * (cov + cov.T)
         out.append((mean.copy(), cov.copy()))
     return out
+
+
+def rescaled(feature, shift, spread):
+    """The same feature of the fixed affine input change (y - shift) / spread."""
+    return FeatureFunction(
+        f"{feature.name}_rescaled", feature.out_dim, lambda y: feature.map((y - shift) / spread)
+    )
+
+
+def oracle_gaps(model, prior, feature, means, covs, measurements, n=801, span=8.0):
+    """Per-step gaps between one lane's posteriors and the grid oracle's fit.
+
+    For a scalar model with a declared affine process and a likelihood.
+    Step t's predicted belief is rebuilt from the lane's posterior at
+    t - 1 (the prior at step 0) through the declared process, F m + b and
+    F P F^T + Q; the oracle tabulates the joint there on
+    ``default_grids(n, span)`` and fits ``feature`` by ``fgf_solve`` of its
+    grid moments. Returns two arrays over the steps: the mean gap in
+    oracle posterior standard deviations, and the variance gap relative
+    to the oracle variance.
+    """
+    affine = model.affine_process
+    mean, cov = prior.mean, prior.cov
+    mean_gaps, var_gaps = [], []
+    for m, c, y in zip(means, covs, measurements):
+        pred = GaussianBelief(
+            affine.transition @ mean + affine.offset,
+            affine.transition @ cov @ affine.transition.T + affine.noise_cov,
+        )
+        joint = joint_density_grid(model, pred, *default_grids(model, pred, n=n, span=span))
+        post = fgf_update(fgf_solve(grid_joint_moments(joint, feature)), feature, y)
+        sd = np.sqrt(post.cov[0, 0])
+        mean_gaps.append(abs(m[0] - post.mean[0]) / sd)
+        var_gaps.append(abs(c[0, 0] - post.cov[0, 0]) / post.cov[0, 0])
+        mean, cov = m, c
+    return np.array(mean_gaps), np.array(var_gaps)

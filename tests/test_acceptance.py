@@ -5,7 +5,7 @@ Every test prints "criterion N (name): PASS" or "FAIL"; run with
 100-seed tracking batches dominate the runtime. On a shared 2-vCPU
 Intel Xeon VM (Python 3.11) criterion 5 takes about 18 s (its reports
 are built one seed at a time), criterion 6 about 25 s (one batch call,
-filtered in blocks of ten seeds), and the whole Tier-1 suite of 670
+filtered in blocks of ten seeds), and the whole Tier-1 suite of 663
 tests about 60 s.
 """
 

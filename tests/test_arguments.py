@@ -1,12 +1,12 @@
-"""Every public count, dimension, order, real and flag passes one screen.
+"""Every public count, dimension, order and real passes one screen.
 
 Each integer argument in ``INTEGERS`` must be an int or a numpy integer,
 not a bool, and at least its minimum. Each real argument in ``REALS``
 must be an int, a float or a numpy real, not a bool, finite and at
-least its minimum where it has one. Each flag in ``BOOLS`` must be a
-bool. Anything else raises a ValueError that names the argument, before
-any numerical work. A guard holds every ``int``, ``float`` or ``bool``
-parameter of the public API to one of the tables.
+least its minimum where it has one. Anything else raises a ValueError
+that names the argument, before any numerical work. A guard holds every
+``int``, ``float`` or ``bool`` parameter of the public API to one of the
+tables; the public API has no ``bool`` parameter.
 """
 
 import dataclasses
@@ -142,13 +142,6 @@ REALS = [
 
 BOUNDED_REALS = [entry for entry in REALS if entry[2] is not None]
 
-# (where, argument name, call taking the value)
-BOOLS = [
-    ("FeatureFunction", "standardize", lambda v: FeatureFunction("f", 2, lambda y: y, v)),
-    ("make_monomial_feature", "standardize", lambda v: make_monomial_feature(1, 2, v)),
-]
-
-
 def _ids(table):
     return [f"{where}.{name}" for where, name, _, _ in table]
 
@@ -209,19 +202,6 @@ def test_real_argument_accepts_ints_floats_and_numpy_reals(where, name, least, c
     call(value)
 
 
-@pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "None"])
-@pytest.mark.parametrize("where, name, call", BOOLS, ids=[f"{w}.{n}" for w, n, _ in BOOLS])
-def test_bool_argument_rejects_non_bools(where, name, call, value):
-    with pytest.raises(ValueError, match=f"^{name} must be a bool, got {value!r}$"):
-        call(value)
-
-
-@pytest.mark.parametrize("value", [False, True])
-@pytest.mark.parametrize("where, name, call", BOOLS, ids=[f"{w}.{n}" for w, n, _ in BOOLS])
-def test_bool_argument_is_kept_on_the_feature(where, name, call, value):
-    assert call(value).standardize is value
-
-
 def test_screened_reals_are_stored_as_floats():
     assert type(sigma_point(np.int64(1)).kappa) is float
     assert type(gaussian_moment_oracle(np.float32(1.5), 1, 1)) is float
@@ -241,7 +221,7 @@ def test_every_int_float_and_bool_parameter_of_the_public_api_is_screened():
     # A dataclass's signature lists its fields, so they are covered too.
     # The package's annotations are strings (``from __future__ import
     # annotations``).
-    screened = {(where, name) for where, name, *_ in INTEGERS + REALS + BOOLS}
+    screened = {(where, name) for where, name, *_ in INTEGERS + REALS}
     missing = []
     for where in fgfilter.__all__:
         obj = getattr(fgfilter, where)

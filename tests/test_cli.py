@@ -261,8 +261,8 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
-    # feature.kind was once accepted but never used, so it is unknown now;
-    # feature.standardize is the feature's own, set by the experiment table.
+    # feature.kind and feature.standardize were once accepted; both are
+    # unknown now.
     for command in ("simulate", "density", "kl"):
         for line in ("run.bogus = 1", "feature.kind = affine", "feature.standardize = yes"):
             cfg = _write_config(tmp_path, f"model.name = heaviside\n{line}\n")

@@ -3,8 +3,8 @@
 The load-bearing facts checked here: the affine feature makes the
 feature update identical to the classical conditioning update, the
 whole filter reproduces the exact Kalman filter on linear models,
-feature standardization changes conditioning but not the answer, and
-a fused multi-lane pass equals one solo run per lane.
+an affine change of the feature's input changes conditioning but not
+the answer, and a fused multi-lane pass equals one solo run per lane.
 """
 
 import dataclasses
@@ -48,6 +48,7 @@ from helpers import (
     random_affine_moments,
     random_linear_system,
     random_spd,
+    rescaled,
     undeclared,
 )
 
@@ -99,16 +100,13 @@ def test_row_major_user_feature_gives_the_same_posteriors():
     # score and the fitted curve that `density` writes, which take their
     # products of feature values in the layout that _evaluate_feature
     # hands out.
-    for (model, prior), order, standardize in (
-        (make_noise_magnitude_model(), 2, False),
-        (make_heaviside_model(), 3, True),
+    for (model, prior), order in (
+        (make_noise_magnitude_model(), 2),
+        (make_heaviside_model(), 3),
     ):
-        base = make_monomial_feature(1, order, standardize)
+        base = make_monomial_feature(1, order)
         rows = FeatureFunction(
-            "rows",
-            base.out_dim,
-            lambda y, base=base: np.ascontiguousarray(base.map(y)),
-            standardize,
+            "rows", base.out_dim, lambda y, base=base: np.ascontiguousarray(base.map(y))
         )
         meas = simulate(model, prior.mean, 40, seed=order)[1]
         engine = monte_carlo(sample_count=500, seed=order)
@@ -457,14 +455,15 @@ def test_run_filter_edge_cases():
         run_filter(model, prior, feat, sigma_point(), np.array([1.0, np.nan]))
 
 
-def test_standardization_does_not_change_the_answer():
+def test_rescaled_inputs_do_not_change_the_answer():
     # Monomial features span the same space after an affine input change,
     # so the fitted posterior agrees up to conditioning-level roundoff.
     model, prior = make_noise_magnitude_model()
     engine = monte_carlo(sample_count=2_000, seed=8)
     _, meas = simulate(model, np.array([5.0]), 25, seed=8)
-    raw = run_filter(model, prior, make_monomial_feature(1, 2), engine, meas)
-    std = run_filter(model, prior, make_monomial_feature(1, 2, True), engine, meas)
+    feature = make_monomial_feature(1, 2)
+    raw = run_filter(model, prior, feature, engine, meas)
+    std = run_filter(model, prior, rescaled(feature, 0.3, 4.0), engine, meas)
     for a, b in zip(raw, std):
         assert_allclose(a.mean, b.mean, rtol=1e-6, atol=1e-8)
         assert_allclose(a.cov, b.cov, rtol=1e-5, atol=1e-8)
@@ -529,14 +528,13 @@ def test_run_filter_hands_out_the_pass_posteriors_unscreened(monkeypatch, declar
 
 
 @pytest.mark.parametrize(
-    "maker, orders, standardize",
-    [(make_heaviside_model, (1, 3), True), (make_noise_magnitude_model, (1, 2), False)],
+    "maker, orders", [(make_heaviside_model, (1, 3)), (make_noise_magnitude_model, (1, 2))]
 )
-def test_lanes_match_solo_runs(maker, orders, standardize):
+def test_lanes_match_solo_runs(maker, orders):
     model, prior = maker()
     engine = monte_carlo(sample_count=800, seed=4)
     _, meas = simulate(model, prior.mean, 40, seed=4)
-    features = [make_monomial_feature(1, order, standardize) for order in orders]
+    features = [make_monomial_feature(1, order) for order in orders]
     lanes = run_filter_lanes(model, prior, features, engine, meas)
     assert lanes.means.shape == (2, 40, 1) and lanes.covs.shape == (2, 40, 1, 1)
     assert lanes.diverged_at == (None, None)
@@ -643,9 +641,9 @@ def test_block_mixing_point_counts_equals_each_solo_run():
     # Seeds drawing 300 and 700 points alternate in one block; each
     # (feature width, point count) has its own workspace, shared by the
     # seeds with that count, so every seed matches its solo pass bit for
-    # bit, standardized inputs included.
+    # bit.
     model, prior = make_heaviside_model()
-    features = [make_monomial_feature(1, order, standardize=True) for order in (1, 2, 3)]
+    features = [make_monomial_feature(1, order) for order in (1, 2, 3)]
     engines = [monte_carlo(sample_count=(300, 700)[s % 2], seed=s) for s in range(4)]
     meas = np.stack([simulate(model, prior.mean, 30, seed=s)[1] for s in range(4)])
     block = fgfilter.filters._filter_pass(model, prior, features, engines, meas)
@@ -695,16 +693,14 @@ def test_failed_lane_is_parked_at_the_prior():
 
 @pytest.mark.parametrize("dx", [1, 2])
 def test_non_finite_fit_is_reported_as_non_finite(dx):
-    # Near 1e160 the raw second moment E[x^2] overflows while the
-    # standardized feature moments stay finite, so the fit's residual
-    # covariance turns NaN at the first step.
+    # Near 1e160 the quadratic feature y^2 of the predicted measurements
+    # overflows, so the fit turns non-finite at the first step.
     model = linear_ssm(random_linear_system(np.random.default_rng(dx), dx, 1))
     prior = GaussianBelief(np.full(dx, 1e160), np.eye(dx))
-    feature = make_monomial_feature(1, 2, standardize=True)
+    feature = make_monomial_feature(1, 2)
     lanes = run_filter_lanes(model, prior, [feature], sigma_point(), np.zeros((3, 1)))
     assert lanes.diverged_at == (0,)
-    message = str(lanes.errors[0])
-    assert "non-finite" in message and "cannot be made PSD" in message
+    assert "non-finite" in str(lanes.errors[0])
 
 
 def _raise_beyond(fn, limit):
@@ -783,20 +779,55 @@ def test_each_failure_site_stays_in_its_lanes(site):
         assert isinstance(block[0].errors[0].__cause__, NumericsError)
 
 
-def test_rank_deficient_gram_fails_only_its_lane():
-    # At kappa = -1.5 the sigma-point centre weight is -3, so the quadratic
-    # feature's Gram matrix is indefinite beyond the jitter budget at the
-    # first step; the affine lanes run on.
-    model, prior = make_noise_magnitude_model()
-    engines = [sigma_point(kappa=-1.5)] * 2
-    meas = np.stack([simulate(model, prior.mean, 20, seed=s)[1] for s in range(2)])
+def test_nan_prediction_fails_only_its_lanes():
+    # A 3-state model predicted through its points, whose process map
+    # returns NaN once x0 > 1.5: seeds 0 and 1 get there, at steps 3 and
+    # 12, and their lanes stop at that step; seed 2 runs through. The
+    # stacked eigendecomposition of the predicted covariances never sees
+    # the NaN, and each seed matches its own pass bit for bit.
+    model = undeclared(linear_ssm(random_linear_system(np.random.default_rng(3), 3, 1)))
+
+    def process(x, v):
+        return np.where(x[:, :1] > 1.5, np.nan, model.process(x, v))
+
+    nan_model = dataclasses.replace(model, process=process)
+    prior = GaussianBelief(np.zeros(3), 0.05 * np.eye(3))
+    meas = np.stack([simulate(model, prior.mean, 20, seed=s)[1] for s in range(3)])
     features = (make_affine_feature(1), make_monomial_feature(1, 2))
-    block = _assert_block_matches_solo(
-        model, prior, features, engines, meas, {(0, 1): 0, (1, 1): 0},
-        "feature Gram matrix is rank deficient",
+    engine = sigma_point(1.0)
+    block = fgfilter.filters._filter_pass(nan_model, prior, features, [engine] * 3, meas)
+    assert [lanes.diverged_at for lanes in block] == [(3, 3), (12, 12), (None, None)]
+    for s, lanes in enumerate(block):
+        for err in filter(None, lanes.errors):
+            assert "predicted covariance is non-finite or indefinite" in str(err)
+        solo = run_filter_lanes(nan_model, prior, features, engine, meas[s])
+        assert solo.diverged_at == lanes.diverged_at
+        assert np.array_equal(lanes.means, solo.means, equal_nan=True)
+        assert np.array_equal(lanes.covs, solo.covs, equal_nan=True)
+
+
+def test_rank_deficient_gram_fails_only_its_lane():
+    # The feature (1, y, y) repeats a column, so R_ff's last diagonal entry
+    # is zero up to roundoff at the first step; the affine lanes run on.
+    model, prior = make_noise_magnitude_model()
+    affine = make_affine_feature(1)
+    twice = FeatureFunction("twice", 3, lambda y: np.concatenate([affine.map(y), y], axis=-1))
+    engines = [gauss_hermite(3)] * 2
+    meas = np.stack([simulate(model, prior.mean, 20, seed=s)[1] for s in range(2)])
+    _assert_block_matches_solo(
+        model, prior, (affine, twice), engines, meas, {(0, 1): 0, (1, 1): 0},
+        "weighted feature matrix is rank deficient",
     )
-    for lanes in block:
-        assert isinstance(lanes.errors[1].__cause__, NumericsError)
+
+
+def test_negative_weights_are_refused():
+    # At kappa = -1.5 the sigma-point centre weight is -3, which has no
+    # square root to weight the fit's points with.
+    model, prior = make_noise_magnitude_model()
+    with pytest.raises(ValueError, match="kappa=-1.5 gives a point a negative weight"):
+        run_filter_lanes(
+            model, prior, [make_affine_feature(1)], sigma_point(kappa=-1.5), np.zeros(3)
+        )
 
 
 @pytest.mark.parametrize(
@@ -822,9 +853,8 @@ def test_feature_needs_more_support_points_than_outputs(engine, order, accepted)
 
 
 def test_lanes_share_one_model_pass_per_step(monkeypatch):
-    # With standardization on, one step calls the observation map once
-    # for all lanes together: the feature scale and the joint moments
-    # share that call. The declared affine process is predicted in closed
+    # One step calls the observation map once for all lanes together.
+    # The declared affine process is predicted in closed
     # form, with no process call and no process point set; its undeclared
     # twin calls the process map once per step for all lanes.
     model, prior = make_heaviside_model()
@@ -847,7 +877,7 @@ def test_lanes_share_one_model_pass_per_step(monkeypatch):
         observe=counting("observe", model.observe),
     )
     _, meas = simulate(model, prior.mean, 12, seed=6)
-    features = [make_monomial_feature(1, order, standardize=True) for order in (1, 2, 3)]
+    features = [make_monomial_feature(1, order) for order in (1, 2, 3)]
     engine = monte_carlo(sample_count=500, seed=6)
     for declared, expected in (
         (counted, {"process": 0, "observe": 12, "point_sets": 1}),

@@ -117,7 +117,7 @@ def test_ensure_psd_scale_widens_tolerance():
     # negative, but relative to the caller's scale it is roundoff.
     a = np.diag([1e-20, -1e-12])[None]
     assert _clip_psd(a, np.array([1e-12]))[1]
-    out, problems, _ = _clip_psd(a, np.ones(1))
+    out, problems = _clip_psd(a, np.ones(1))
     assert not problems and out[0, 1, 1] == 0.0
 
 
@@ -137,7 +137,7 @@ def test_clip_psd_reports_non_finite_input(bad):
     # the stack is clipped as on its own.
     for mat in (np.array([[bad]]), np.array([[1.0, bad], [bad, 2.0]])):
         good = np.eye(mat.shape[0])
-        out, problems, _ = _clip_psd(np.stack([good, mat]), np.ones(2))
+        out, problems = _clip_psd(np.stack([good, mat]), np.ones(2))
         assert list(problems) == [1] and "non-finite" in problems[1]
         assert np.array_equal(out[0], good)
         assert "non-finite" in _clip_psd(mat[None], np.ones(1))[1][0]

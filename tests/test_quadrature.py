@@ -29,8 +29,8 @@ from fgfilter import (
     sample_points,
     sigma_point,
 )
-from fgfilter._linalg import _psd_roots
-from fgfilter.filters import _moments, _raw_moments
+from fgfilter._linalg import _psd_roots, _weighted_qr
+from fgfilter.filters import _moments
 from fgfilter.quadrature import _place, _unit_points
 from helpers import random_spd
 
@@ -245,10 +245,14 @@ def test_weighted_moments_match_plain_monte_carlo_averages():
     def close(got, ref):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    work = np.empty((2, 5, n))
+    # The filter's fit factors the sqrt(w)-weighted points, features
+    # first: R^T R are the raw moments of (feature, state).
+    work = np.empty((5, n))
     for x, lane in zip(states, z):
-        got = _raw_moments(x, lane[3:].T, points.weights, *work)
-        close(got, np.einsum("in,jn->ij", lane, lane) / n)
+        top, _ = _weighted_qr(lane[3:].T, x, np.sqrt(points.weights), work)
+        r = np.triu(top)
+        lane = np.concatenate([lane[3:], lane[:3]])
+        close(r.T @ r, np.einsum("in,jn->ij", lane, lane) / n)
     mu, cov = _moments(z, points.weights)
     ref_mu = z.sum(axis=-1) / n
     zc = z - ref_mu[..., None]
