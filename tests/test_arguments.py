@@ -202,6 +202,23 @@ def test_real_argument_accepts_ints_floats_and_numpy_reals(where, name, least, c
     call(value)
 
 
+# Features once took a ``standardize`` flag; the filter's QR fit made it
+# redundant, and a call that still passes it fails rather than running
+# on with the flag dropped.
+_STANDARDIZE_CALLS = {
+    "FeatureFunction-positional": lambda: FeatureFunction("f", 2, lambda y: y, True),
+    "FeatureFunction-keyword": lambda: FeatureFunction("f", 2, lambda y: y, standardize=True),
+    "make_monomial_feature-positional": lambda: make_monomial_feature(1, 2, True),
+    "make_monomial_feature-keyword": lambda: make_monomial_feature(1, 2, standardize=True),
+}
+
+
+@pytest.mark.parametrize("call", _STANDARDIZE_CALLS.values(), ids=list(_STANDARDIZE_CALLS))
+def test_removed_standardize_flag_is_refused(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_screened_reals_are_stored_as_floats():
     assert type(sigma_point(np.int64(1)).kappa) is float
     assert type(gaussian_moment_oracle(np.float32(1.5), 1, 1)) is float

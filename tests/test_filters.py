@@ -528,13 +528,18 @@ def test_run_filter_hands_out_the_pass_posteriors_unscreened(monkeypatch, declar
 
 
 @pytest.mark.parametrize(
-    "maker, orders", [(make_heaviside_model, (1, 3)), (make_noise_magnitude_model, (1, 2))]
+    "maker, orders, rescale",
+    [(make_heaviside_model, (1, 3), True), (make_noise_magnitude_model, (1, 2), False)],
 )
-def test_lanes_match_solo_runs(maker, orders):
+def test_lanes_match_solo_runs(maker, orders, rescale):
+    # With ``rescale`` the monomials take (y - 25) / 25, heaviside's
+    # measurements brought near the unit interval.
     model, prior = maker()
     engine = monte_carlo(sample_count=800, seed=4)
     _, meas = simulate(model, prior.mean, 40, seed=4)
     features = [make_monomial_feature(1, order) for order in orders]
+    if rescale:
+        features = [rescaled(feature, 25.0, 25.0) for feature in features]
     lanes = run_filter_lanes(model, prior, features, engine, meas)
     assert lanes.means.shape == (2, 40, 1) and lanes.covs.shape == (2, 40, 1, 1)
     assert lanes.diverged_at == (None, None)

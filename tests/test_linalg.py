@@ -2,7 +2,9 @@
 
 Tests named for sqrt_psd, solve_psd and ensure_psd check the operation
 by that name: the symmetric root (_psd_roots), the jittered Cholesky
-solve (_cho_solve_jittered) and the PSD clip (_clip_psd).
+solve (_cho_solve_jittered) and the PSD clip (_clip_psd). Tests named
+for weighted_qr check the filter pass's least-squares fit
+(_weighted_qr) against numpy's.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from fgfilter._linalg import (
     _clip_psd,
     _eigh,
     _psd_roots,
+    _weighted_qr,
     gaussian_pdf,
     symmetrize,
 )
@@ -141,6 +144,53 @@ def test_clip_psd_reports_non_finite_input(bad):
         assert list(problems) == [1] and "non-finite" in problems[1]
         assert np.array_equal(out[0], good)
         assert "non-finite" in _clip_psd(mat[None], np.ones(1))[1][0]
+
+
+def _weighted_points(rng, k, m, n):
+    # n points of a feature (n, k) with a constant first column, states
+    # (m, n) that depend on it plus noise, and positive weights summing
+    # to 1.
+    cols = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+    rows = (cols @ rng.standard_normal((k, m))).T + 0.1 * rng.standard_normal((m, n))
+    w = rng.uniform(0.5, 1.5, n)
+    return cols, rows, w / w.sum()
+
+
+@pytest.mark.parametrize("k, m, n", [(2, 1, 5), (3, 1, 9), (4, 2, 40), (6, 3, 200), (3, 2, 4)])
+def test_weighted_qr_solves_weighted_least_squares(k, m, n):
+    # R^T R is A^T A for A = diag(sqrt_w) [cols | rows^T], the
+    # coefficients are numpy's weighted least-squares solution and
+    # R_22^T R_22 is the weighted second moment of its residual. With
+    # n < k + m points, R has n rows.
+    cols, rows, w = _weighted_points(np.random.default_rng(k * 100 + n), k, m, n)
+    sqrt_w = np.sqrt(w)
+    top, gamma = _weighted_qr(cols, rows, sqrt_w, np.empty((k + m, n)))
+    assert top.shape == (min(n, k + m), k + m) and gamma.shape == (k, m)
+    a = sqrt_w[:, None] * np.column_stack([cols, rows.T])
+    r = np.triu(top)
+    assert_allclose(r.T @ r, a.T @ a, rtol=1e-12, atol=1e-14)
+    ref = np.linalg.lstsq(a[:, :k], a[:, k:], rcond=None)[0]
+    assert_allclose(gamma, ref, rtol=1e-10, atol=1e-12)
+    resid = a[:, k:] - a[:, :k] @ ref
+    r_22 = r[k:, k:]
+    assert_allclose(r_22.T @ r_22, resid.T @ resid, rtol=1e-8, atol=1e-14)
+
+
+def test_weighted_qr_ignores_zero_weight_points():
+    # A point of weight zero is a zero row of A, so appending points of
+    # weight zero, however wild, leaves the fit as it was.
+    rng = np.random.default_rng(11)
+    cols, rows, w = _weighted_points(rng, 3, 2, 30)
+    extra_cols = np.column_stack([np.ones(5), 1e6 * rng.standard_normal((5, 2))])
+    extra_rows = 1e6 * rng.standard_normal((2, 5))
+    gamma = _weighted_qr(cols, rows, np.sqrt(w), np.empty((5, 30)))[1]
+    padded = _weighted_qr(
+        np.vstack([cols, extra_cols]),
+        np.hstack([rows, extra_rows]),
+        np.sqrt(np.concatenate([w, np.zeros(5)])),
+        np.empty((5, 35)),
+    )[1]
+    assert_allclose(padded, gamma, rtol=1e-12, atol=1e-14)
 
 
 def test_gaussian_pdf_matches_scipy():
